@@ -1,12 +1,10 @@
 #!/usr/bin/env python3
-"""Benchmark the compiled kernels against the pure-Python twins.
+"""Time the search kernel on each available backend.
 
-Workloads:
-  search      - certify that no magic rectangle set MRS(2,3;2) exists
-                over D_6 (the hottest exhaustive-search case in the
-                acceptance suite)
-  achievable  - product-reachability sets for every row and column of
-                the 12x12 orderable magic square
+Workload: certify that no magic rectangle set MRS(2,3;2) exists over
+D_6 (the hottest exhaustive-search case in the acceptance suite).  With
+the extension built, both backends run, must agree, and the speedup is
+printed; without it, only the pure backend is timed.
 
 Run:  python benchmarks/bench_kernels.py [--repeat N]
 """
@@ -15,39 +13,19 @@ import argparse
 import time
 
 from dihedral_magic import _backend, _kernels_py
-from dihedral_magic.construct import ms
-from dihedral_magic.dihedral import element_index
+
+NAME = "search MRS(2,3;2)/D_6"
+ARGS = (6, 2, 3, 2, False, True, False, 10**9)
 
 
-def time_call(fn, repeat):
+def time_search(impl, repeat):
     best = float("inf")
     result = None
     for _ in range(repeat):
         t0 = time.perf_counter()
-        result = fn()
+        result = impl.run_search(*ARGS)
         best = min(best, time.perf_counter() - t0)
     return best, result
-
-
-def bench_search(impl, repeat):
-    return time_call(
-        lambda: impl.run_search(6, 2, 3, 2, False, True, False, 10**9),
-        repeat)
-
-
-def bench_achievable(impl, repeat):
-    square = ms(12)
-    rect = square.arrays[0]
-    lines = [[element_index(c, square.l) for c in rect.row(i)]
-             for i in range(rect.m)]
-    lines += [[element_index(c, square.l) for c in rect.column(j)]
-              for j in range(rect.n)]
-
-    def run():
-        return [tuple(impl.achievable_indices(line, square.l))
-                for line in lines]
-
-    return time_call(run, repeat)
 
 
 def main():
@@ -56,23 +34,15 @@ def main():
                         help="timing repetitions (best of N)")
     args = parser.parse_args()
 
+    t_p, r_p = time_search(_kernels_py, args.repeat)
+    print(f"{NAME}: pure {t_p * 1e3:.2f} ms, {r_p[1] / t_p:,.0f} nodes/s")
     if _backend.compiled is None:
-        raise SystemExit("compiled extension is not built; install with the "
-                         "extension enabled to compare backends")
-
-    rows = []
-    for name, bench in (("search MRS(2,3;2)/D_6", bench_search),
-                        ("achievable ms(12) lines", bench_achievable)):
-        t_c, r_c = bench(_backend.compiled, args.repeat)
-        t_p, r_p = bench(_kernels_py, args.repeat)
-        assert r_c == r_p, f"backend results diverge on {name}"
-        rows.append((name, t_c, t_p))
-
-    width = max(len(r[0]) for r in rows)
-    print(f"{'workload'.ljust(width)}  compiled      pure          speedup")
-    for name, t_c, t_p in rows:
-        print(f"{name.ljust(width)}  {t_c * 1e3:9.2f} ms  {t_p * 1e3:9.2f} ms"
-              f"  {t_p / t_c:6.1f}x")
+        print("compiled extension not built; pure backend only")
+        return
+    t_c, r_c = time_search(_backend.compiled, args.repeat)
+    assert r_c == r_p, f"backend results diverge on {NAME}"
+    print(f"{NAME}: compiled {t_c * 1e3:.2f} ms, {r_c[1] / t_c:,.0f} nodes/s"
+          f" ({t_p / t_c:.1f}x)")
 
 
 if __name__ == "__main__":

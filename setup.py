@@ -1,7 +1,7 @@
-"""Build script: compiles the optional speedup extension.
+"""Build script: compiles the optional search extension with the C compiler.
 
 The package is fully functional without the extension (a pure-Python
-twin of every kernel ships alongside it); set DIHEDRAL_MAGIC_NO_EXT=1
+twin of the search kernel ships alongside it); set DIHEDRAL_MAGIC_NO_EXT=1
 to skip compilation entirely, or let the tolerant build_ext fall back
 automatically when no compiler is available.
 """
@@ -34,19 +34,8 @@ class optional_build_ext(build_ext):
 
 
 ext_modules = []
-cmdclass = {}
 if not os.environ.get("DIHEDRAL_MAGIC_NO_EXT"):
-    try:
-        from Cython.Build import cythonize
+    ext_modules = [Extension("dihedral_magic._kernels",
+                             sources=["src/dihedral_magic/_kernels.c"])]
 
-        ext_modules = cythonize(
-            [Extension("dihedral_magic._kernels",
-                       sources=["src/dihedral_magic/_kernels.pyx"])],
-            compiler_directives={"language_level": "3"},
-        )
-        cmdclass = {"build_ext": optional_build_ext}
-    except ImportError:
-        print("WARNING: Cython not available; installing without the "
-              "speedup extension.")
-
-setup(ext_modules=ext_modules, cmdclass=cmdclass)
+setup(ext_modules=ext_modules, cmdclass={"build_ext": optional_build_ext})

@@ -1,7 +1,9 @@
-"""Kernel backend selection: compiled extension when available, else pure.
+"""Kernel backend selection.
 
-Set DIHEDRAL_MAGIC_PURE=1 to force the pure-Python kernels even when the
-extension is built (used by the benchmark and the parity tests).
+Product reachability is a closed form and always runs in pure Python.
+The search runs in the compiled extension when it is built, else in
+pure Python.  Set DIHEDRAL_MAGIC_PURE=1 to force the pure search even
+when the extension is built (used by the benchmark and the parity tests).
 """
 
 from __future__ import annotations
@@ -17,29 +19,19 @@ if not os.environ.get("DIHEDRAL_MAGIC_PURE"):
     except ImportError:
         compiled = None
 
-# The compiled reachability DP is dense over (subsets x group order); route
-# big instances to the sparse pure implementation instead.
-_ACH_MAX_CELLS = 14
-_ACH_MAX_WORK = 1 << 26
-
 
 def active_backend() -> str:
-    """Name of the kernel backend in use: "compiled" or "pure"."""
+    """Name of the search backend in use: "compiled" or "pure"."""
     return "pure" if compiled is None else "compiled"
 
 
-def achievable_indices(cells, l: int) -> list[int]:
-    cells = list(cells)
-    if (compiled is not None and len(cells) <= _ACH_MAX_CELLS
-            and (1 << len(cells)) * 2 * l <= _ACH_MAX_WORK):
-        return compiled.achievable_indices(cells, l)
-    return pure.achievable_indices(cells, l)
+achievable_indices = pure.achievable_indices
 
 
 def run_search(l: int, m: int, n: int, k: int, linear: bool,
                symmetry: bool, count_all: bool, budget: int):
-    # The compiled search uses 64-bit product masks and bounded line buffers.
-    if compiled is not None and 2 * l <= 64 and max(m, n) <= 20:
+    # The compiled search keeps product sets in 64-bit masks.
+    if compiled is not None and 2 * l <= 64:
         return compiled.run_search(l, m, n, k, linear, symmetry, count_all,
                                    budget)
     return pure.run_search(l, m, n, k, linear, symmetry, count_all, budget)

@@ -1,75 +1,85 @@
-"""Pure-Python kernels: the fallback twin of the compiled extension.
+"""Pure-Python kernels.
 
-Both backends implement the same two entry points with identical
-semantics (results, iteration order, node accounting):
-
-  achievable_indices(cells, l) -> sorted list of element indices
+  reachable_mask(cells, l) -> int, bit i set iff index i is reachable
+  achievable_indices(cells, l) -> sorted list of reachable indices
   run_search(l, m, n, k, linear, symmetry, count_all, budget)
       -> (status, nodes, count, first_solution_or_None)
 
 Element indices follow elements(l): rotations 0..l-1 by exponent,
 reflections l..2l-1.  Search status codes: 0 found (short-circuit),
-1 space exhausted, 2 node budget exceeded.
+1 space exhausted, 2 node budget exceeded.  The compiled extension
+implements run_search with identical results and node accounting.
 """
 
 from __future__ import annotations
 
 
-def _mul(x: int, y: int, l: int) -> int:
-    """Index-level product in D_l (rotations first, then reflections)."""
-    if x < l:
-        if y < l:
-            return (x + y) % l
-        return l + (x + y - l) % l
-    if y < l:
-        return l + (x - l - y) % l
-    return (x - y) % l
+def _word_index(vals, l: int) -> int:
+    """Index of the product of the word `vals`, read left to right.
+
+    Multiplying r^E s^f by r^b s^g on the right gives r^(E + (-1)^f b)
+    s^(f + g), so each exponent enters E with sign (-1)^(reflections
+    before it).
+    """
+    e = 0
+    sign = 1
+    for v in vals:
+        if v < l:
+            e += sign * v
+        else:
+            e += sign * (v - l)
+            sign = -sign
+    return e % l if sign > 0 else l + e % l
+
+
+def reachable_mask(cells, l: int) -> int:
+    """Products reachable by some ordering of the multiset `cells`.
+
+    Any ordering with t reflections gives a product r^E s^(t mod 2)
+    (see _word_index).  With t = 0 the product is fixed.  With t >= 1
+    every rotation exponent may take either sign in E, and exactly
+    ceil(t/2) reflection exponents take +.  Exponent sets are l-bit
+    masks; by_plus[j] holds the sums with j reflections signed +.
+    """
+    full = (1 << l) - 1
+
+    def shift(mask: int, a: int) -> int:
+        a %= l
+        return ((mask << a) | (mask >> (l - a))) & full
+
+    rots = [x for x in cells if x < l]
+    refs = [x - l for x in cells if x >= l]
+    if not refs:
+        return 1 << (sum(rots) % l)
+    sums = 1
+    for a in rots:
+        sums = shift(sums, a) | shift(sums, -a)
+    by_plus = [sums]
+    for b in refs:
+        minus = [shift(x, -b) for x in by_plus] + [0]
+        plus = [0] + [shift(x, b) for x in by_plus]
+        by_plus = [p | q for p, q in zip(minus, plus)]
+    mask = by_plus[(len(refs) + 1) // 2]
+    return mask << l if len(refs) & 1 else mask
 
 
 def achievable_indices(cells, l: int) -> list[int]:
-    """Products realizable by some ordering of the multiset `cells`.
-
-    Enumeration over permutations, deduplicated by memoizing on the
-    remaining multiset; the accumulated product is folded by
-    left-multiplying the chosen head element.
-    """
-    cells = list(cells)
-    if not cells:
-        return [0]
-    distinct = sorted(set(cells))
-    start = tuple(cells.count(v) for v in distinct)
-    memo: dict[tuple[int, ...], frozenset[int]] = {}
-    empty = tuple(0 for _ in distinct)
-    memo[empty] = frozenset((0,))
-
-    def rec(state: tuple[int, ...]) -> frozenset[int]:
-        got = memo.get(state)
-        if got is not None:
-            return got
-        out: set[int] = set()
-        for idx, c in enumerate(state):
-            if not c:
-                continue
-            child = list(state)
-            child[idx] -= 1
-            x = distinct[idx]
-            out.update(_mul(x, p, l) for p in rec(tuple(child)))
-        result = frozenset(out)
-        memo[state] = result
-        return result
-
-    return sorted(rec(start))
+    """Sorted element indices of reachable_mask(cells, l)."""
+    bits = bin(reachable_mask(cells, l))[:1:-1]  # bits[i] is bit i
+    return [i for i, bit in enumerate(bits) if bit == "1"]
 
 
 def run_search(l: int, m: int, n: int, k: int, linear: bool,
                symmetry: bool, count_all: bool, budget: int):
     """Depth-first placement of all 2l elements into the k m x n arrays.
 
-    Cells fill array by array, row-major.  Linear mode prunes on fixed
-    row (left-to-right) and column (bottom-to-top) products; orderable
-    mode prunes on reflection parity of each completed line, then on the
-    running intersection of achievable line products.  A node is counted
-    for every placement of an unused, symmetry-admissible element.
+    Cells fill array by array, row-major.  Each completed line yields a
+    mask of the products it can take: one fixed product in linear mode
+    (rows left-to-right, columns bottom-to-top), reachable_mask in
+    orderable mode.  rho and sigma are the running intersections over
+    rows and columns (0 until the first line), and a branch is pruned
+    when one becomes empty.  A node is counted for every placement of an
+    unused, symmetry-admissible element.
     """
     G = 2 * l
     per = m * n
@@ -81,7 +91,6 @@ def run_search(l: int, m: int, n: int, k: int, linear: bool,
         for a in range(1, k):
             anchor[a * per] = (a - 1) * per
     fix_first = symmetry and not linear
-    rot_mask = (1 << l) - 1
 
     nodes = 0
     count = 0
@@ -90,80 +99,32 @@ def run_search(l: int, m: int, n: int, k: int, linear: bool,
 
     memo: dict[tuple[int, ...], int] = {}
 
-    def achievable_mask(values) -> int:
-        key = tuple(sorted(values))
+    def word_mask(vals: list[int]) -> int:
+        return 1 << _word_index(vals, l)
+
+    def reachable_memo(vals: list[int]) -> int:
+        key = tuple(sorted(vals))
         got = memo.get(key)
-        if got is not None:
-            return got
-        c = len(key)
-        size = 1 << c
-        dp = [0] * size
-        dp[0] = 1
-        for S in range(size):
-            P = dp[S]
-            if not P:
-                continue
-            for i in range(c):
-                if S >> i & 1:
-                    continue
-                x = key[i]
-                T = S | (1 << i)
-                cur = dp[T]
-                p = 0
-                bits = P
-                while bits:
-                    if bits & 1:
-                        cur |= 1 << _mul(p, x, l)
-                    bits >>= 1
-                    p += 1
-                dp[T] = cur
-        memo[key] = dp[size - 1]
-        return dp[size - 1]
+        if got is None:
+            got = memo[key] = reachable_mask(key, l)
+        return got
+
+    line_mask = word_mask if linear else reachable_memo
 
     def check_lines(t: int, rho: int, sigma: int):
         a, w = divmod(t, per)
         i, j = divmod(w, n)
         base = a * per
-        if linear:
-            if j == n - 1:
-                p = grid[base + i * n]
-                for jj in range(1, n):
-                    p = _mul(p, grid[base + i * n + jj], l)
-                if rho < 0:
-                    rho = p
-                elif p != rho:
-                    return False, rho, sigma
-            if i == m - 1:
-                q = grid[base + (m - 1) * n + j]
-                for ii in range(m - 2, -1, -1):
-                    q = _mul(q, grid[base + ii * n + j], l)
-                if sigma < 0:
-                    sigma = q
-                elif q != sigma:
-                    return False, rho, sigma
-            return True, rho, sigma
         if j == n - 1:
-            vals = grid[base + i * n:base + i * n + n]
-            if rho < 0:
-                rho = achievable_mask(vals)
-            else:
-                par = sum(1 for v in vals if v >= l) & 1
-                if par != (0 if rho & rot_mask else 1):
-                    return False, rho, sigma
-                rho &= achievable_mask(vals)
-                if not rho:
-                    return False, rho, sigma
+            mask = line_mask(grid[base + i * n:base + i * n + n])
+            rho = rho & mask if rho else mask
+            if not rho:
+                return False, rho, sigma
         if i == m - 1:
-            vals = [grid[base + r * n + j] for r in range(m)]
-            if sigma < 0:
-                sigma = achievable_mask(vals)
-            else:
-                par = sum(1 for v in vals if v >= l) & 1
-                if par != (0 if sigma & rot_mask else 1):
-                    return False, rho, sigma
-                sigma &= achievable_mask(vals)
-                if not sigma:
-                    return False, rho, sigma
+            mask = line_mask(grid[base + j:base + per:n][::-1])
+            sigma = sigma & mask if sigma else mask
+            if not sigma:
+                return False, rho, sigma
         return True, rho, sigma
 
     def dfs(t: int, rho: int, sigma: int) -> bool:
@@ -198,5 +159,5 @@ def run_search(l: int, m: int, n: int, k: int, linear: bool,
                 return True
         return False
 
-    dfs(0, -1, -1)
+    dfs(0, 0, 0)
     return status, nodes, count, found

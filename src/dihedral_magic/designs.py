@@ -123,12 +123,17 @@ class ProductSpec:
 
 @dataclass(frozen=True, slots=True)
 class CoverReport:
-    """Result of the exact-cover check."""
+    """Result of the exact-cover check.
+
+    `missing` lists the absent elements only when the cell count matches
+    the group order; `missing_count` always gives their number.
+    """
 
     cell_count: int
     expected_count: int
     duplicates: tuple[tuple[DihedralElement, int], ...] = ()
     missing: tuple[DihedralElement, ...] = ()
+    missing_count: int = 0
 
     @property
     def dimension_ok(self) -> bool:
@@ -150,6 +155,8 @@ class CoverReport:
             parts.append(f"duplicated: {dups}")
         if self.missing:
             parts.append("missing: " + ", ".join(str(e) for e in self.missing))
+        elif self.missing_count:
+            parts.append(f"missing: {self.missing_count} elements")
         return "; ".join(parts)
 
     def to_json_dict(self) -> dict:
@@ -160,6 +167,7 @@ class CoverReport:
             "expected_count": self.expected_count,
             "duplicates": [[str(e), c] for e, c in self.duplicates],
             "missing": [str(e) for e in self.missing],
+            "missing_count": self.missing_count,
         }
 
 
@@ -168,13 +176,17 @@ def validate_cover(s: RectangleSet) -> CoverReport:
 
     A size mismatch m*n*k != 2l is reported distinctly from duplicated or
     missing elements; nothing is raised, so defective candidates can be
-    diagnosed.
+    diagnosed.  The work is proportional to the cell count: on a size
+    mismatch the missing elements are counted, not listed.
     """
     counts = Counter(s.all_cells())
     cell_count = s.m * s.n * s.k
     duplicates = tuple(sorted((e, c) for e, c in counts.items() if c > 1))
-    missing = tuple(e for e in dihedral.elements(s.l) if e not in counts)
-    return CoverReport(cell_count, 2 * s.l, duplicates, missing)
+    missing = ()
+    if cell_count == 2 * s.l:
+        missing = tuple(e for e in dihedral.elements(s.l) if e not in counts)
+    return CoverReport(cell_count, 2 * s.l, duplicates, missing,
+                       2 * s.l - len(counts))
 
 
 def _require_cover(s: RectangleSet, op: str) -> None:

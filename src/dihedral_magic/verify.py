@@ -100,9 +100,9 @@ class VerificationReport:
 def achievable_products(cells, l: int, cap: int = DEFAULT_CAP) -> frozenset[DihedralElement]:
     """Exact set of products reachable by some ordering of `cells`.
 
-    Computed by permutation enumeration with memoized deduplication on
-    the remaining multiset; |cells| above the cap is refused since the
-    state space grows exponentially.
+    Computed in closed form as signed sums of the exponents (see
+    _kernels_py.reachable_mask), in time polynomial in |cells| and l.
+    |cells| above the cap is refused with CapacityError.
     """
     cells = list(cells)
     if len(cells) > cap:

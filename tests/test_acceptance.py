@@ -95,10 +95,10 @@ MS4_EXPECTED = [
 
 
 def test_criterion_4_ms_suite():
-    with criterion(4, "orderable magic squares n in {4,8,12}", 30.0):
+    with criterion(4, "orderable magic squares n in {4,8,12,16,20}", 30.0):
         got = [[str(c) for c in row] for row in ms(4).arrays[0].cells]
         assert got == MS4_EXPECTED
-        for n in (4, 8, 12):
+        for n in (4, 8, 12, 16, 20):
             s = ms(n)
             report = verify_magic_square(s, mode="orderable",
                                          diagonal_mode="fixed", cap=n)

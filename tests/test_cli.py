@@ -1,6 +1,7 @@
 """CLI surface: pipelines, exit codes, JSON round-trips."""
 
 import json
+import time
 
 import pytest
 
@@ -120,6 +121,24 @@ class TestVerifyPipeline:
                                "--in", path)
         assert code == 3
         assert "cap" in err
+
+
+    def test_huge_group_order_costs_no_more_than_the_input(self, tmp_path,
+                                                           capsys):
+        # 2 cells claiming D_(10^7): the cover report must not enumerate
+        # the 2*10^7 absent elements
+        text = json.dumps({"l": 10**7, "m": 1, "n": 2, "k": 1,
+                           "arrays": [[["r^0", "r^1"]]]})
+        path = tmp_path / "huge.json"
+        path.write_text(text)
+        for argv in (("--mode", "linear"), ("--mode", "orderable", "--json")):
+            start = time.perf_counter()
+            code, out, err = run_cli(capsys, "verify", *argv,
+                                     "--in", str(path))
+            assert time.perf_counter() - start < 1.0
+            assert code == 1
+            assert "19999998" in out and "19999998" in err
+            assert len(out) + len(err) < 10 * len(text)
 
 
 class TestFeasible:

@@ -69,6 +69,21 @@ class TestCover:
         assert not report.dimension_ok
         assert report.cell_count == 4 and report.expected_count == 8
         assert "dimension mismatch" in report.summary()
+        assert report.missing == ()
+        assert report.missing_count == 4
+        assert "missing: 4 elements" in report.summary()
+
+    def test_missing_listed_in_full_when_count_fits(self):
+        s = lmrs_2_2(2)
+        cells = [list(map(list, rect.cells)) for rect in s.arrays]
+        cells[0][0][0] = cells[0][0][1] = cells[0][1][0]
+        report = validate_cover(RectangleSet(4, tuple(
+            Rectangle(tuple(tuple(row) for row in rect)) for rect in cells)))
+        assert report.dimension_ok
+        assert report.missing_count == len(report.missing) == 2
+        assert set(report.missing) == set(elements(4)) - {
+            c for rect in cells for row in rect for c in row}
+        assert report.to_json_dict()["missing_count"] == 2
 
 
 class TestConcat:
