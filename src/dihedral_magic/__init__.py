@@ -2,8 +2,8 @@
 verification, feasibility classification and exhaustive search."""
 
 from ._backend import active_backend
-from .construct import (BlockGrid, DiagonalPlan, diagonal_plan, lemma_block,
-                        lmrs_2_2, lmrs_even, lsms, ms, ms_block)
+from .construct import (DiagonalPlan, diagonal_plan, lemma_block, lmrs_2_2,
+                        lmrs_even, lsms, ms, ms_block)
 from .designs import (CoverReport, CoverViolationWarning, ProductSpec,
                       Rectangle, RectangleSet, concat_horizontal,
                       concat_vertical, deserialize, render_text, serialize,

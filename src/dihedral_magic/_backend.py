@@ -27,11 +27,6 @@ def active_backend() -> str:
 
 achievable_indices = pure.achievable_indices
 
-
-def run_search(l: int, m: int, n: int, k: int, linear: bool,
-               symmetry: bool, count_all: bool, budget: int):
-    # The compiled search keeps product sets in 64-bit masks.
-    if compiled is not None and 2 * l <= 64:
-        return compiled.run_search(l, m, n, k, linear, symmetry, count_all,
-                                   budget)
-    return pure.run_search(l, m, n, k, linear, symmetry, count_all, budget)
+# The compiled kernel keeps product sets in 64-bit masks; search.HARD_CAP
+# keeps every group it is given within that width.
+run_search = (pure if compiled is None else compiled).run_search

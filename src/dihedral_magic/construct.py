@@ -26,24 +26,10 @@ from .dihedral import DihedralElement
 from .errors import PlanCollisionError
 
 
-@dataclass(frozen=True, slots=True)
-class BlockGrid:
-    """Assignment of block indices to an m' x n' grid of 2x2 blocks."""
-
-    rows: int
-    cols: int
-    assignment: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self):
-        if len(self.assignment) != self.rows or any(
-                len(r) != self.cols for r in self.assignment):
-            raise ValueError("assignment shape does not match rows x cols")
-
-
-def _tile(grid: BlockGrid, block_for) -> Rectangle:
-    """Concatenate 2x2 blocks into one (2*rows) x (2*cols) rectangle."""
+def _tile(assignment, block_for) -> Rectangle:
+    """Concatenate a grid of 2x2 blocks, given by index, into one rectangle."""
     rows: list[tuple[DihedralElement, ...]] = []
-    for block_row in grid.assignment:
+    for block_row in assignment:
         blocks = [block_for(p) for p in block_row]
         rows.append(sum((b.cells[0] for b in blocks), ()))
         rows.append(sum((b.cells[1] for b in blocks), ()))
@@ -68,8 +54,7 @@ def lmrs_2_2(l: int) -> RectangleSet:
     of shape 2x2 with row product rs and column product s."""
     if l <= 1:
         raise ValueError(f"the 2x2 block family needs l > 1, got {l}")
-    dihedral.check_group_order(2 * l)
-    return RectangleSet(2 * l, tuple(lemma_block(p, l) for p in range(l)))
+    return lmrs_even(2, 2, l)
 
 
 def lmrs_even(m: int, n: int, k: int) -> RectangleSet:
@@ -91,11 +76,9 @@ def lmrs_even(m: int, n: int, k: int) -> RectangleSet:
     m2, n2, per = m // 2, n // 2, (m // 2) * (n // 2)
     arrays = []
     for u in range(k):
-        assignment = tuple(
-            tuple(u * per + bi * n2 + bj for bj in range(n2))
-            for bi in range(m2))
-        grid = BlockGrid(m2, n2, assignment)
-        arrays.append(_tile(grid, lambda p: lemma_block(p, blocks)))
+        assignment = [[u * per + bi * n2 + bj for bj in range(n2)]
+                      for bi in range(m2)]
+        arrays.append(_tile(assignment, lambda p: lemma_block(p, blocks)))
     return RectangleSet(m * n * k // 2, tuple(arrays))
 
 
@@ -154,30 +137,21 @@ def diagonal_plan(k: int, repair: bool = False) -> DiagonalPlan:
     The interleaved formula {1, 8k^2-1, 2, 8k^2-2, ..., 0, 8k^2-k}
     duplicates 8k^2-k for every k >= 2 (the pair j = k already supplies
     it); the duplicate is reported in `collisions`, never hidden.  With
-    repair=True the colliding pair (k, 8k^2-k) is swapped for the first
-    (j*, 8k^2-j*) with j* >= 2k that restores distinctness, keeping the
-    size and the sum congruence.
+    repair=True the colliding pair (k, 8k^2-k) is swapped for
+    (2k, 8k^2-2k): the plan holds only j and 8k^2-j for j < 2k, plus 0 and
+    8k^2-k, so the new pair is distinct from the rest, and the size and
+    the sum congruence are kept.
     """
     if k < 1:
         raise ValueError(f"k must be positive, got {k}")
     c = 8 * k * k
     main = _closed_form_main(k)
     collisions = tuple(sorted(v for v in set(main) if main.count(v) > 1))
-    repaired = False
-    if collisions and repair:
+    repaired = bool(collisions and repair)
+    if repaired:
         pos = main.index(k)  # the pair (k, c-k) sits at (pos, pos+1)
-        for j_star in range(2 * k, c):
-            candidate = list(main)
-            candidate[pos] = j_star
-            candidate[pos + 1] = c - j_star
-            if len(set(candidate)) == 4 * k:
-                main = candidate
-                repaired = True
-                collisions = ()
-                break
-        else:
-            raise PlanCollisionError(
-                f"no replacement pair repairs the plan for k={k}")
+        main[pos:pos + 2] = [2 * k, c - 2 * k]
+        collisions = ()
     back = tuple(a + c for a in main)
     return DiagonalPlan(k, tuple(main), back, collisions, repaired)
 
@@ -216,8 +190,7 @@ def lsms(n: int, repair_plan: bool = True) -> RectangleSet:
         for bj in range(side):
             if assignment[bi][bj] < 0:
                 assignment[bi][bj] = next(rest)
-    grid = BlockGrid(side, side, tuple(tuple(r) for r in assignment))
-    rect = _tile(grid, lambda p: lemma_block(p, blocks))
+    rect = _tile(assignment, lambda p: lemma_block(p, blocks))
     return RectangleSet(n * n // 2, (rect,))
 
 
@@ -267,12 +240,11 @@ def ms(n: int) -> RectangleSet:
     k = n // 4
     modulus = 8 * k * k
     side = 2 * k
-    assignment = tuple(tuple(br * side + bc for bc in range(side))
-                       for br in range(side))
-    grid = BlockGrid(side, side, assignment)
+    assignment = [[br * side + bc for bc in range(side)]
+                  for br in range(side)]
     half = 2 * k * k
 
     def block_for(p: int) -> Rectangle:
         return ms_block(p, "low" if p < half else "high", modulus)
 
-    return RectangleSet(modulus, (_tile(grid, block_for),))
+    return RectangleSet(modulus, (_tile(assignment, block_for),))

@@ -79,7 +79,8 @@ class RectangleSet:
                                  f"expected {m}x{n}")
             for row in rect.cells:
                 for cell in row:
-                    if not 0 <= cell.exponent < self.l:
+                    if (not 0 <= cell.exponent < self.l
+                            or cell.is_reflection not in (False, True)):
                         raise ValueError(
                             f"cell {cell} is not canonical for l={self.l}")
 
@@ -177,13 +178,15 @@ def validate_cover(s: RectangleSet) -> CoverReport:
     A size mismatch m*n*k != 2l is reported distinctly from duplicated or
     missing elements; nothing is raised, so defective candidates can be
     diagnosed.  The work is proportional to the cell count: on a size
-    mismatch the missing elements are counted, not listed.
+    mismatch the missing elements are counted, not listed.  Every cell is
+    canonical, so 2l distinct cells are the whole group and need no
+    listing pass.
     """
     counts = Counter(s.all_cells())
     cell_count = s.m * s.n * s.k
     duplicates = tuple(sorted((e, c) for e, c in counts.items() if c > 1))
     missing = ()
-    if cell_count == 2 * s.l:
+    if cell_count == 2 * s.l and len(counts) < 2 * s.l:
         missing = tuple(e for e in dihedral.elements(s.l) if e not in counts)
     return CoverReport(cell_count, 2 * s.l, duplicates, missing,
                        2 * s.l - len(counts))

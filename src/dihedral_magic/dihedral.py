@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .errors import ParseError
 
@@ -145,8 +145,3 @@ def element_from_index(i: int, l: int) -> DihedralElement:
     if not 0 <= i < 2 * l:
         raise ValueError(f"element index {i} out of range for order {2 * l}")
     return DihedralElement(i >= l, i % l)
-
-
-def reflection_count(seq: Sequence[DihedralElement]) -> int:
-    """Number of reflections in a sequence (its parity fixes the product type)."""
-    return sum(1 for x in seq if x.is_reflection)

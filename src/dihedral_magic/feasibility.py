@@ -33,9 +33,7 @@ class Justification(enum.Enum):
     LEMMA_BLOCK = "LemmaBlock"
     THM_EVEN_TILING = "ThmEvenTiling"
     OBS_ODD_L = "ObsOddL"
-    OBS_PARITY_MOD4 = "ObsParityMod4"
     OBS_TWO_BY_L_TWICE = "ObsTwoByLTwice"
-    CITED_SEMI_MAGIC = "CitedSemiMagic"
 
 
 @dataclass(frozen=True, slots=True)
@@ -63,11 +61,6 @@ class FeasibilityVerdict:
         }
 
 
-def _exactly_one_even_two_mod_four(m: int, n: int, k: int) -> bool:
-    evens = [x for x in (m, n, k) if x % 2 == 0]
-    return len(evens) == 1 and evens[0] % 4 == 2
-
-
 def classify(m: int, n: int, k: int) -> FeasibilityVerdict:
     """Feasibility verdict for a magic rectangle set of k arrays m x n."""
     if m < 1 or n < 1 or k < 1:
@@ -82,12 +75,10 @@ def classify(m: int, n: int, k: int) -> FeasibilityVerdict:
                   "reflections: the product of all elements is a reflection "
                   "under every ordering, yet the column products force a "
                   "rotation")
-        if _exactly_one_even_two_mod_four(m, n, k):
-            even = next(x for x in (m, n, k) if x % 2 == 0)
-            detail += (f"; equivalently, {even} is the only even dimension "
-                       "and it is 2 mod 4")
-            return FeasibilityVerdict(m, n, k, l, Status.NOT_EXISTS,
-                                      Justification.OBS_ODD_L, detail)
+        # mnk = 2l = 2 mod 4: exactly one dimension is even, and it is 2 mod 4
+        even = next(x for x in (m, n, k) if x % 2 == 0)
+        detail += (f"; equivalently, {even} is the only even dimension "
+                   "and it is 2 mod 4")
         return FeasibilityVerdict(m, n, k, l, Status.NOT_EXISTS,
                                   Justification.OBS_ODD_L, detail)
 

@@ -8,13 +8,13 @@ configuration, outcome packaging and the hard size cap.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
-from . import _backend, dihedral
+from . import _backend, designs, dihedral
 from .designs import Rectangle, RectangleSet
 from .errors import BudgetExceededError, CapacityError
 
-HARD_CAP = 16  # largest group order 2l the search will accept
+HARD_CAP = 16  # largest group order 2l searched; <= 64 (compiled masks)
 DEFAULT_BUDGET = 10**9
 
 
@@ -60,7 +60,6 @@ class SearchOutcome:
     solutions_count: int | None = None
 
     def to_json_dict(self) -> dict:
-        from . import designs
         out = {"result": self.result, "nodes_visited": self.nodes_visited}
         if self.solutions_count is not None:
             out["solutions_count"] = self.solutions_count
@@ -82,16 +81,16 @@ def _grid_to_set(flat: list[int], cfg: SearchConfig) -> RectangleSet:
     return RectangleSet(cfg.l, tuple(arrays))
 
 
-def exhaustive_search(cfg: SearchConfig, hard_cap: int = HARD_CAP) -> SearchOutcome:
+def exhaustive_search(cfg: SearchConfig) -> SearchOutcome:
     """Run the backtracking search described by cfg.
 
     Deterministic: a fixed fill order (arrays in order, row-major) and a
     fixed candidate order (ascending element index) give identical
     outcomes and node counts across runs and backends.
     """
-    if 2 * cfg.l > hard_cap:
+    if 2 * cfg.l > HARD_CAP:
         raise CapacityError(
-            f"group order {2 * cfg.l} exceeds the search cap {hard_cap}")
+            f"group order {2 * cfg.l} exceeds the search cap {HARD_CAP}")
     status, nodes, count, flat = _backend.run_search(
         cfg.l, cfg.m, cfg.n, cfg.k, cfg.mode == "linear",
         cfg.symmetry_reduction, cfg.count_all, cfg.node_budget)
@@ -104,12 +103,9 @@ def exhaustive_search(cfg: SearchConfig, hard_cap: int = HARD_CAP) -> SearchOutc
     return SearchOutcome("exhausted_none", nodes, None, solutions)
 
 
-def count_solutions(cfg: SearchConfig, hard_cap: int = HARD_CAP) -> int:
+def count_solutions(cfg: SearchConfig) -> int:
     """Number of solutions (symmetry-reduced when reduction is on)."""
-    outcome = exhaustive_search(
-        SearchConfig(cfg.l, cfg.m, cfg.n, cfg.k, cfg.mode, cfg.node_budget,
-                     cfg.symmetry_reduction, count_all=True),
-        hard_cap)
+    outcome = exhaustive_search(replace(cfg, count_all=True))
     if outcome.result == "budget_exceeded":
         raise BudgetExceededError(
             f"node budget {cfg.node_budget} exhausted after "

@@ -166,6 +166,14 @@ class TestFeasible:
         assert code == 1
         assert "reflections" in out
 
+    def test_witness_in_json(self, capsys):
+        code, out, _ = run_cli(capsys, "feasible", "--m", "3", "--n", "3",
+                               "--k", "2", "--json", "--witness")
+        assert code == 1
+        doc = json.loads(out)
+        assert doc["justification"] == "ObsOddL"
+        assert doc["witness"].startswith("D_9 has 9 reflections")
+
     def test_odd_order_usage_error(self, capsys):
         code, _, _ = run_cli(capsys, "feasible", "--m", "3", "--n", "3",
                              "--k", "1")
@@ -200,6 +208,16 @@ class TestSearch:
         assert code == 0
         assert json.loads(out)["solutions_count"] == 24
 
+    def test_count_text_prints_count_and_grid(self, capsys):
+        code, out, _ = run_cli(capsys, "search", "--l", "4", "--m", "2",
+                               "--n", "2", "--k", "2", "--count")
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[:3] == ["result: found", "nodes_visited: 2084",
+                             "solutions_count: 240"]
+        assert lines[3:] == ["r^0 r^1", "r^3 r^2", "",
+                             "r^0*s r^1*s", "r^3*s r^2*s"]
+
     def test_cap_exits_3(self, capsys):
         code, _, err = run_cli(capsys, "search", "--l", "9", "--m", "2",
                                "--n", "9", "--k", "1")
@@ -233,6 +251,17 @@ class TestConcatRender:
                                "--in", str(path), "--json")
         assert code == 0
         assert designs.deserialize(out).m == 4
+
+    def test_concat_broken_cover_exits_1(self, tmp_path, capsys):
+        doc = json.loads(designs.serialize(lmrs_2_2(2)))
+        doc["arrays"][0][0][0] = doc["arrays"][1][1][1]
+        path = tmp_path / "dup.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "concat", "--axis", "cols",
+                                 "--in", str(path))
+        assert code == 1
+        assert out == ""
+        assert "concat_horizontal requires an exact cover" in err
 
     def test_render(self, tmp_path, capsys):
         code, out, _ = run_cli(capsys, "construct", "--type", "lmrs22",

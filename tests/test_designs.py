@@ -38,6 +38,12 @@ class TestModel:
         with pytest.raises(ValueError):
             RectangleSet(4, (Rectangle(((bad,),)),))
 
+    def test_non_boolean_reflection_flag_rejected(self):
+        from dihedral_magic.dihedral import DihedralElement
+        bad = DihedralElement(2, 0)
+        with pytest.raises(ValueError):
+            RectangleSet(1, (Rectangle(((rotation(0, 1), bad),)),))
+
 
 class TestCover:
     def test_lmrs_cover_ok(self):

@@ -9,7 +9,7 @@ import pytest
 
 from dihedral_magic import _backend, _kernels_py
 from dihedral_magic.dihedral import element_index, elements, multiply, word_product
-from dihedral_magic.search import SearchConfig, exhaustive_search
+from dihedral_magic.search import HARD_CAP
 
 compiled = _backend.compiled
 needs_ext = pytest.mark.skipif(compiled is None,
@@ -92,14 +92,12 @@ class TestSearchParity:
 
     def test_dispatcher_prefers_compiled(self):
         assert _backend.active_backend() == "compiled"
+        assert _backend.run_search is compiled.run_search
+
+    def test_rejects_groups_beyond_64_bits(self):
+        with pytest.raises(ValueError):
+            compiled.run_search(33, 2, 33, 1, False, True, False, 100)
 
 
-class TestDispatch:
-    def test_group_beyond_64_bits_gives_same_outcome(self, monkeypatch):
-        # 2l = 66 does not fit the compiled kernel's 64-bit product masks;
-        # the dispatcher must route it to the pure kernel.
-        cfg = SearchConfig(l=33, m=2, n=33, k=1, node_budget=500)
-        got = exhaustive_search(cfg, hard_cap=66)
-        monkeypatch.setattr(_backend, "compiled", None)
-        assert exhaustive_search(cfg, hard_cap=66) == got
-        assert got.result == "budget_exceeded"
+def test_search_cap_fits_the_compiled_masks():
+    assert 2 * HARD_CAP <= 64

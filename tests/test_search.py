@@ -63,10 +63,6 @@ class TestConfig:
     def test_hard_cap(self):
         with pytest.raises(CapacityError):
             exhaustive_search(SearchConfig(l=9, m=2, n=9, k=1))
-        # a raised cap admits the same configuration
-        out = exhaustive_search(SearchConfig(l=9, m=2, n=9, k=1,
-                                             node_budget=1000), hard_cap=18)
-        assert out.result == "budget_exceeded"
 
 
 class TestOutcomes:

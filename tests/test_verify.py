@@ -21,6 +21,13 @@ def brute_achievable(cells, l):
     return frozenset(word_product(p, l) for p in itertools.permutations(cells))
 
 
+def square(text, l):
+    """One-array set from rows of tokens separated by "/"."""
+    rows = [[parse_element(t, l) for t in row.split()]
+            for row in text.split("/")]
+    return RectangleSet(l, (Rectangle.from_rows(rows),))
+
+
 class TestAchievableProducts:
     def test_two_element_example(self):
         got = achievable_products([rotation(1, 4), reflection(0, 4)], 4)
@@ -165,6 +172,37 @@ class TestSquares:
         report = verify_magic_square(ms(4), mode="orderable",
                                      diagonal_mode="orderable", cap=4)
         assert report.passed
+
+    def test_orderable_rows_and_columns_share_no_product(self):
+        s = square("r^0 r^1 / r^0*s r^1*s", 2)
+        report = verify_semi_magic_square(s, mode="orderable")
+        assert [f.note for f in report.failures] == [
+            "no product is reachable by every row and every column"]
+        assert report.witnessed.mu is None
+
+    def test_fixed_diagonals_agree_but_miss_the_line_products(self):
+        s = square("r^1*s r^0*s r^0 r^7*s / r^5*s r^1 r^7 r^5 / "
+                   "r^2 r^3*s r^3 r^6 / r^4*s r^6*s r^2*s r^4", 8)
+        report = verify_magic_square(s, mode="orderable",
+                                     diagonal_mode="fixed")
+        assert [f.note for f in report.failures] == [
+            "diagonal product is not a common row/column product"]
+        assert report.witnessed.delta1 == report.witnessed.delta2 == \
+            reflection(1, 8)
+
+    def test_orderable_diagonals_reach_no_line_product(self):
+        s = square("r^3*s r^5 r^1 r^1*s / r^7*s r^2 r^4*s r^7 / "
+                   "r^4 r^5*s r^3 r^0*s / r^6 r^6*s r^2*s r^0", 8)
+        report = verify_magic_square(s, mode="orderable",
+                                     diagonal_mode="orderable")
+        assert [f.note for f in report.failures] == [
+            "no common product is reachable by both diagonals"]
+        assert report.witnessed.mu is None
+
+    def test_render_names_the_diagonal_mode(self):
+        text = verify_magic_square(lsms(8)).render()
+        assert "diagonals: fixed" in text.splitlines()
+        assert "diagonals:" not in verify_linear(lsms(8)).render()
 
     def test_report_json_keys(self):
         doc = verify_magic_square(lsms(8)).to_json_dict()
