@@ -1,12 +1,9 @@
 """Build script: compiles the optional search extension with the C compiler.
 
 The package is fully functional without the extension (a pure-Python
-twin of the search kernel ships alongside it); set DIHEDRAL_MAGIC_NO_EXT=1
-to skip compilation entirely, or let the tolerant build_ext fall back
-automatically when no compiler is available.
+twin of the search kernel ships alongside it); the tolerant build_ext
+falls back to it when no compiler is available.
 """
-
-import os
 
 from setuptools import Extension, setup
 from setuptools.command.build_ext import build_ext
@@ -33,9 +30,6 @@ class optional_build_ext(build_ext):
               "falling back to the pure-Python kernels.")
 
 
-ext_modules = []
-if not os.environ.get("DIHEDRAL_MAGIC_NO_EXT"):
-    ext_modules = [Extension("dihedral_magic._kernels",
-                             sources=["src/dihedral_magic/_kernels.c"])]
-
-setup(ext_modules=ext_modules, cmdclass={"build_ext": optional_build_ext})
+setup(ext_modules=[Extension("dihedral_magic._kernels",
+                             sources=["src/dihedral_magic/_kernels.c"])],
+      cmdclass={"build_ext": optional_build_ext})

@@ -2,8 +2,8 @@
  *
  * Same contract and node accounting as the pure kernel.  Product sets
  * are 64-bit masks over element indices (rotations 0..l-1, reflections
- * l..2l-1), so the group order 2l is limited to 64; the backend
- * dispatcher sends larger groups to the pure kernel.
+ * l..2l-1), so the group order 2l is limited to 64: search.HARD_CAP keeps
+ * every search within that, and run_search refuses l > 32 itself.
  */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>

@@ -64,9 +64,16 @@ def reachable_mask(cells, l: int) -> int:
 
 
 def achievable_indices(cells, l: int) -> list[int]:
-    """Sorted element indices of reachable_mask(cells, l)."""
-    bits = bin(reachable_mask(cells, l))[:1:-1]  # bits[i] is bit i
-    return [i for i, bit in enumerate(bits) if bit == "1"]
+    """Sorted element indices of reachable_mask(cells, l), found by a
+    C-level search of its binary string: O(l) plus one step per index."""
+    bits = bin(reachable_mask(cells, l))
+    top = len(bits) - 1  # bits[top - i] is bit i
+    out = []
+    j = bits.rfind("1")
+    while j >= 0:
+        out.append(top - j)
+        j = bits.rfind("1", 0, j)
+    return out
 
 
 def run_search(l: int, m: int, n: int, k: int, linear: bool,

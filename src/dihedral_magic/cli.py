@@ -15,7 +15,7 @@ import warnings
 from . import construct, designs, feasibility, search, verify
 from .designs import CoverViolationWarning, RectangleSet
 from .errors import (BudgetExceededError, CapacityError, CoverError,
-                     ParseError, PlanCollisionError, SchemaError, ShapeError)
+                     PlanCollisionError)
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -231,8 +231,7 @@ def run(argv: list[str] | None = None) -> int:
         # the input is a verified-defective candidate, not a usage mistake
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAIL
-    except (UsageError, ShapeError, ParseError, SchemaError, ValueError,
-            OSError) as exc:
+    except (UsageError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

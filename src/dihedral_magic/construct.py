@@ -30,9 +30,8 @@ def _tile(assignment, block_for) -> Rectangle:
     """Concatenate a grid of 2x2 blocks, given by index, into one rectangle."""
     rows: list[tuple[DihedralElement, ...]] = []
     for block_row in assignment:
-        blocks = [block_for(p) for p in block_row]
-        rows.append(sum((b.cells[0] for b in blocks), ()))
-        rows.append(sum((b.cells[1] for b in blocks), ()))
+        blocks = [block_for(p).cells for p in block_row]
+        rows += [tuple(x for b in blocks for x in b[r]) for r in (0, 1)]
     return Rectangle(tuple(rows))
 
 
@@ -87,34 +86,38 @@ class DiagonalPlan:
     """Block index lists steering the two diagonals of an 8k x 8k square.
 
     main (A) wants |A| = 4k, A within [0, 8k^2) and sum(A) = -k mod 8k^2;
-    back is always the shift B = {a + 8k^2}.  Those conditions make both
-    diagonal products telescope to r^0.  `collisions` lists values the
-    closed-form index formula duplicated; `repaired` marks a plan where
-    the colliding pair was replaced by a nearby valid one.
+    back is the derived shift B = {a + 8k^2}.  Those conditions make both
+    diagonal products telescope to r^0.  `collisions` lists the values
+    main repeats; `repaired` marks a plan where the colliding pair was
+    replaced by a nearby valid one.
     """
 
     k: int
     main: tuple[int, ...]
-    back: tuple[int, ...]
-    collisions: tuple[int, ...] = ()
     repaired: bool = False
+
+    @property
+    def back(self) -> tuple[int, ...]:
+        c = 8 * self.k * self.k
+        return tuple(a + c for a in self.main)
+
+    @property
+    def collisions(self) -> tuple[int, ...]:
+        return tuple(sorted(v for v in set(self.main)
+                            if self.main.count(v) > 1))
 
     def problems(self) -> tuple[str, ...]:
         """Invariant diagnostics; empty means the plan is usable."""
         c = 8 * self.k * self.k
         out = []
         if len(set(self.main)) != 4 * self.k:
-            dups = sorted(v for v in set(self.main)
-                          if self.main.count(v) > 1)
-            out.append(f"main diagonal indices collide: {dups} "
+            out.append(f"main diagonal indices collide: "
+                       f"{list(self.collisions)} "
                        f"({len(set(self.main))} distinct, need {4 * self.k})")
         if any(not 0 <= a < c for a in self.main):
             out.append(f"main diagonal indices outside [0, {c})")
         if sum(self.main) % c != (-self.k) % c:
             out.append(f"main index sum {sum(self.main)} != -k mod {c}")
-        if self.back != tuple(a + c for a in self.main):
-            out.append("back diagonal indices are not the +8k^2 shift of "
-                       "the main ones")
         if set(self.main) & set(self.back):
             out.append("main and back diagonal index sets overlap")
         return tuple(out)
@@ -144,16 +147,13 @@ def diagonal_plan(k: int, repair: bool = False) -> DiagonalPlan:
     """
     if k < 1:
         raise ValueError(f"k must be positive, got {k}")
-    c = 8 * k * k
     main = _closed_form_main(k)
-    collisions = tuple(sorted(v for v in set(main) if main.count(v) > 1))
-    repaired = bool(collisions and repair)
-    if repaired:
-        pos = main.index(k)  # the pair (k, c-k) sits at (pos, pos+1)
-        main[pos:pos + 2] = [2 * k, c - 2 * k]
-        collisions = ()
-    back = tuple(a + c for a in main)
-    return DiagonalPlan(k, tuple(main), back, collisions, repaired)
+    plan = DiagonalPlan(k, tuple(main))
+    if not (repair and plan.collisions):
+        return plan
+    pos = main.index(k)  # the pair (k, 8k^2-k) sits at (pos, pos+1)
+    main[pos:pos + 2] = [2 * k, 8 * k * k - 2 * k]
+    return DiagonalPlan(k, tuple(main), repaired=True)
 
 
 def lsms(n: int, repair_plan: bool = True) -> RectangleSet:
@@ -182,9 +182,9 @@ def lsms(n: int, repair_plan: bool = True) -> RectangleSet:
     side = 4 * k
     blocks = n * n // 4
     assignment = [[-1] * side for _ in range(side)]
-    for g in range(side):
-        assignment[g][g] = plan.main[g]
-        assignment[g][side - 1 - g] = plan.back[g]
+    for g, (a, b) in enumerate(zip(plan.main, plan.back)):
+        assignment[g][g] = a
+        assignment[g][side - 1 - g] = b
     rest = iter(sorted(set(range(blocks)) - set(plan.main) - set(plan.back)))
     for bi in range(side):
         for bj in range(side):
@@ -194,7 +194,7 @@ def lsms(n: int, repair_plan: bool = True) -> RectangleSet:
     return RectangleSet(n * n // 2, (rect,))
 
 
-def ms_block(p: int, variant: str, l: int) -> Rectangle:
+def ms_block(p: int, l: int) -> Rectangle:
     """2x2 block of the orderable magic-square family over D_l, l = 8k^2.
 
     low  (p in [0, l/4)):   r^(2p-1)*s  r^(-2p)     high is the same pair
@@ -208,22 +208,11 @@ def ms_block(p: int, variant: str, l: int) -> Rectangle:
     """
     if l % 4:
         raise ValueError(f"ambient modulus must be divisible by 4, got {l}")
-    if variant == "low":
-        if not 0 <= p < l // 4:
-            raise ValueError(f"low block index {p} out of range [0, {l // 4})")
-        return Rectangle((
-            (dihedral.reflection(2 * p - 1, l), dihedral.rotation(-2 * p, l)),
-            (dihedral.rotation(2 * p - 1, l), dihedral.reflection(2 * p, l)),
-        ))
-    if variant == "high":
-        if not l // 4 <= p < l // 2:
-            raise ValueError(f"high block index {p} out of range "
-                             f"[{l // 4}, {l // 2})")
-        return Rectangle((
-            (dihedral.rotation(2 * p - 1, l), dihedral.reflection(2 * p, l)),
-            (dihedral.reflection(2 * p - 1, l), dihedral.rotation(-2 * p, l)),
-        ))
-    raise ValueError(f"unknown block variant {variant!r}")
+    if not 0 <= p < l // 2:
+        raise ValueError(f"block index {p} out of range [0, {l // 2})")
+    low = ((dihedral.reflection(2 * p - 1, l), dihedral.rotation(-2 * p, l)),
+           (dihedral.rotation(2 * p - 1, l), dihedral.reflection(2 * p, l)))
+    return Rectangle(low if p < l // 4 else low[::-1])
 
 
 def ms(n: int) -> RectangleSet:
@@ -242,9 +231,5 @@ def ms(n: int) -> RectangleSet:
     side = 2 * k
     assignment = [[br * side + bc for bc in range(side)]
                   for br in range(side)]
-    half = 2 * k * k
-
-    def block_for(p: int) -> Rectangle:
-        return ms_block(p, "low" if p < half else "high", modulus)
-
-    return RectangleSet(modulus, (_tile(assignment, block_for),))
+    return RectangleSet(modulus,
+                        (_tile(assignment, lambda p: ms_block(p, modulus)),))

@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 import warnings
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from . import dihedral
@@ -208,7 +208,7 @@ def concat_horizontal(s: RectangleSet) -> RectangleSet:
     _require_cover(s, "concat_horizontal")
     if s.k == 1:
         return s
-    rows = [sum((rect.cells[i] for rect in s.arrays), ())
+    rows = [tuple(x for rect in s.arrays for x in rect.cells[i])
             for i in range(s.m)]
     return RectangleSet(s.l, (Rectangle.from_rows(rows),))
 

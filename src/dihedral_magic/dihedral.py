@@ -127,7 +127,11 @@ def parse_element(token: str, l: int) -> DihedralElement:
     m = _TOKEN_RE.match(stripped)
     if m is None:
         raise ParseError(f"malformed element token {token!r}")
-    return DihedralElement(m.group(2) is not None, int(m.group(1)) % l)
+    try:
+        exponent = int(m.group(1))
+    except ValueError:  # more digits than int() accepts
+        raise ParseError(f"exponent too long in token {token!r}") from None
+    return DihedralElement(m.group(2) is not None, exponent % l)
 
 
 def format_element(a: DihedralElement) -> str:

@@ -75,10 +75,8 @@ class VerificationReport:
                  f"mode: {self.mode}"]
         if self.diagonal_mode is not None:
             lines.append(f"diagonals: {self.diagonal_mode}")
-        for name in ("rho", "sigma", "mu", "delta1", "delta2"):
-            value = getattr(self.witnessed, name)
-            if value is not None:
-                lines.append(f"{name}: {value}")
+        lines.extend(f"{name}: {value}"
+                     for name, value in self.witnessed.to_json_dict().items())
         lines.append(f"cover: {self.cover.summary()}")
         if self.failures:
             lines.append("failures:")
@@ -115,25 +113,35 @@ def achievable_products(cells, l: int, cap: int = DEFAULT_CAP) -> frozenset[Dihe
 
 
 def _linear_products(s: RectangleSet):
-    rho = None
-    sigma = None
+    first: dict[str, DihedralElement] = {}
     failures: list[Failure] = []
     for a, rect in enumerate(s.arrays, start=1):
-        for i in range(rect.m):
-            p = dihedral.word_product(rect.row(i), s.l)
-            if rho is None:
-                rho = p
-            elif p != rho:
-                failures.append(Failure(a, f"row {i + 1}", (p,),
-                                        f"expected {rho}"))
-        for j in range(rect.n):
-            q = dihedral.word_product(reversed(rect.column(j)), s.l)
-            if sigma is None:
-                sigma = q
-            elif q != sigma:
-                failures.append(Failure(a, f"column {j + 1}", (q,),
-                                        f"expected {sigma}"))
-    return rho, sigma, failures
+        # columns read bottom-to-top
+        for axis, lines in (("row", rect.cells),
+                            ("column", zip(*reversed(rect.cells)))):
+            for i, line in enumerate(lines, start=1):
+                p = dihedral.word_product(line, s.l)
+                expected = first.setdefault(axis, p)
+                if p != expected:
+                    failures.append(Failure(a, f"{axis} {i}", (p,),
+                                            f"expected {expected}"))
+    return first["row"], first["column"], failures
+
+
+def _common_products(s: RectangleSet, axis: str, cap: int):
+    """Products every `axis` line can reach, and the failure of the first
+    line that leaves none."""
+    common: frozenset[DihedralElement] | None = None
+    for a, rect in enumerate(s.arrays, start=1):
+        lines = rect.cells if axis == "row" else zip(*rect.cells)
+        for i, line in enumerate(lines, start=1):
+            reachable = achievable_products(line, s.l, cap)
+            common = reachable if common is None else common & reachable
+            if not common:
+                return common, [Failure(a, f"{axis} {i}",
+                                        tuple(sorted(reachable)),
+                                        f"no common {axis} product remains")]
+    return common, []
 
 
 def _orderable_sets(s: RectangleSet, cap: int):
@@ -141,32 +149,9 @@ def _orderable_sets(s: RectangleSet, cap: int):
         raise CapacityError(
             f"orderable verification of lines up to length {max(s.m, s.n)} "
             f"exceeds cap {cap}; raise the cap or use linear mode")
-    failures: list[Failure] = []
-    rho_set: frozenset[DihedralElement] | None = None
-    for a, rect in enumerate(s.arrays, start=1):
-        for i in range(rect.m):
-            reachable = achievable_products(rect.row(i), s.l, cap)
-            rho_set = reachable if rho_set is None else rho_set & reachable
-            if not rho_set:
-                failures.append(Failure(a, f"row {i + 1}",
-                                        tuple(sorted(reachable)),
-                                        "no common row product remains"))
-                break
-        if rho_set is not None and not rho_set:
-            break
-    sigma_set: frozenset[DihedralElement] | None = None
-    for a, rect in enumerate(s.arrays, start=1):
-        for j in range(rect.n):
-            reachable = achievable_products(rect.column(j), s.l, cap)
-            sigma_set = reachable if sigma_set is None else sigma_set & reachable
-            if not sigma_set:
-                failures.append(Failure(a, f"column {j + 1}",
-                                        tuple(sorted(reachable)),
-                                        "no common column product remains"))
-                break
-        if sigma_set is not None and not sigma_set:
-            break
-    return rho_set or frozenset(), sigma_set or frozenset(), failures
+    rho_set, row_failures = _common_products(s, "row", cap)
+    sigma_set, column_failures = _common_products(s, "column", cap)
+    return rho_set, sigma_set, row_failures + column_failures
 
 
 def verify_linear(s: RectangleSet) -> VerificationReport:

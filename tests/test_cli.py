@@ -122,23 +122,33 @@ class TestVerifyPipeline:
         assert code == 3
         assert "cap" in err
 
+    def test_overlong_exponent_is_a_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "long.json"
+        path.write_text(json.dumps({"l": 2, "m": 1, "n": 2, "k": 1,
+                                    "arrays": [[["r^0", "r^" + "1" * 5000]]]}))
+        code, _, err = run_cli(capsys, "verify", "--in", str(path))
+        assert code == 2
+        assert "array 1, row 1, column 2" in err and "too long" in err
 
     def test_huge_group_order_costs_no_more_than_the_input(self, tmp_path,
                                                            capsys):
         # 2 cells claiming D_(10^7): the cover report must not enumerate
-        # the 2*10^7 absent elements
-        text = json.dumps({"l": 10**7, "m": 1, "n": 2, "k": 1,
-                           "arrays": [[["r^0", "r^1"]]]})
-        path = tmp_path / "huge.json"
-        path.write_text(text)
-        for argv in (("--mode", "linear"), ("--mode", "orderable", "--json")):
-            start = time.perf_counter()
-            code, out, err = run_cli(capsys, "verify", *argv,
-                                     "--in", str(path))
-            assert time.perf_counter() - start < 1.0
-            assert code == 1
-            assert "19999998" in out and "19999998" in err
-            assert len(out) + len(err) < 10 * len(text)
+        # the 2*10^7 absent elements, nor orderable verification scan the
+        # 2*10^7-bit product mask that a reflection gives
+        for cells in (["r^0", "r^1"], ["r^5", "r^7*s"]):
+            text = json.dumps({"l": 10**7, "m": 1, "n": 2, "k": 1,
+                               "arrays": [[cells]]})
+            path = tmp_path / "huge.json"
+            path.write_text(text)
+            for argv in (("--mode", "linear"),
+                         ("--mode", "orderable", "--json")):
+                start = time.perf_counter()
+                code, out, err = run_cli(capsys, "verify", *argv,
+                                         "--in", str(path))
+                assert time.perf_counter() - start < 1.0
+                assert code == 1
+                assert "19999998" in out and "19999998" in err
+                assert len(out) + len(err) < 10 * len(text)
 
 
 class TestFeasible:

@@ -1,11 +1,13 @@
 """Constructors against the published block values and the verifier oracles."""
 
 import itertools
+import time
 
 import pytest
 
-from dihedral_magic.construct import (diagonal_plan, lemma_block, lmrs_2_2,
-                                      lmrs_even, lsms, ms, ms_block)
+from dihedral_magic.construct import (DiagonalPlan, diagonal_plan,
+                                      lemma_block, lmrs_2_2, lmrs_even, lsms,
+                                      ms, ms_block)
 from dihedral_magic.designs import validate_cover
 from dihedral_magic.dihedral import (identity, multiply, parse_element, power,
                                      reflection, rotation, word_product)
@@ -102,6 +104,12 @@ class TestLmrsEven:
         if m % 4 == 0:
             assert report.witnessed.sigma == identity(modulus)
 
+    def test_long_rows_cost_linear_time(self):
+        start = time.perf_counter()
+        s = lmrs_even(2, 24000, 1)
+        assert time.perf_counter() - start < 1.0
+        assert s.arrays[0].cells[1][-2:] == lemma_block(11999, 12000).cells[1]
+
     def test_rejections(self):
         with pytest.raises(ValueError):
             lmrs_even(3, 4, 1)
@@ -127,6 +135,16 @@ class TestDiagonalPlan:
         assert plan.collisions == (30,)
         assert not plan.repaired
         assert any("collide" in p for p in plan.problems())
+
+    def test_problems_of_hand_built_plans(self):
+        assert DiagonalPlan(1, (0, 2, 6, 8)).problems() == (
+            "main diagonal indices outside [0, 8)",
+            "main index sum 16 != -k mod 8",
+            "main and back diagonal index sets overlap")
+        plan = DiagonalPlan(1, (0, 2, 2, 3))
+        assert plan.collisions == (2,)
+        assert plan.problems() == (
+            "main diagonal indices collide: [2] (3 distinct, need 4)",)
 
     def test_collision_for_every_k_ge_2(self):
         for k in range(2, 51):
@@ -228,13 +246,13 @@ class TestLsms:
 
 class TestMsBlock:
     def test_p0_low_worked_values(self):
-        assert tokens(ms_block(0, "low", 8)) == [["r^7*s", "r^0"],
-                                                 ["r^7", "r^0*s"]]
+        assert tokens(ms_block(0, 8)) == [["r^7*s", "r^0"],
+                                          ["r^7", "r^0*s"]]
 
     def test_low_stated_products(self):
         for l in (8, 32):
             for p in range(l // 4):
-                b = ms_block(p, "low", l)
+                b = ms_block(p, l)
                 # row products in the stated orderings (right-to-left)
                 assert multiply(b.cells[0][1], b.cells[0][0], l) == \
                     reflection(-1 % l, l)
@@ -254,7 +272,7 @@ class TestMsBlock:
     def test_high_stated_products(self):
         l = 8
         for p in range(l // 4, l // 2):
-            b = ms_block(p, "high", l)
+            b = ms_block(p, l)
             assert multiply(b.cells[1][1], b.cells[0][0], l) == \
                 rotation(-1 % l, l)
             assert multiply(b.cells[0][1], b.cells[1][0], l) == rotation(1, l)
@@ -263,13 +281,14 @@ class TestMsBlock:
 
     def test_range_and_variant_checks(self):
         with pytest.raises(ValueError):
-            ms_block(2, "low", 8)
+            ms_block(4, 8)
         with pytest.raises(ValueError):
-            ms_block(1, "high", 8)
+            ms_block(-1, 8)
         with pytest.raises(ValueError):
-            ms_block(0, "middle", 8)
-        with pytest.raises(ValueError):
-            ms_block(0, "low", 6)
+            ms_block(0, 6)
+        # p in [l/4, l/2) selects the high variant: the low rows swapped
+        assert tokens(ms_block(2, 8)) == [["r^3", "r^4*s"],
+                                          ["r^3*s", "r^4"]]
 
 
 MS4_EXPECTED = [

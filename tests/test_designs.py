@@ -1,6 +1,7 @@
 """Rectangle sets: cover validation, concatenation, serialization."""
 
 import json
+import time
 
 import pytest
 
@@ -37,6 +38,12 @@ class TestModel:
         bad = DihedralElement(False, 5)
         with pytest.raises(ValueError):
             RectangleSet(4, (Rectangle(((bad,),)),))
+
+    def test_empty_rectangle_and_set_rejected(self):
+        with pytest.raises(ValueError):
+            Rectangle(())
+        with pytest.raises(ValueError):
+            RectangleSet(2, ())
 
     def test_non_boolean_reflection_flag_rejected(self):
         from dihedral_magic.dihedral import DihedralElement
@@ -131,6 +138,13 @@ class TestConcat:
         assert concat_horizontal(s) == s
         assert concat_vertical(s) == s
 
+    def test_horizontal_is_linear_in_the_array_count(self):
+        s = lmrs_2_2(20000)
+        start = time.perf_counter()
+        joined = concat_horizontal(s)
+        assert time.perf_counter() - start < 1.0
+        assert (joined.m, joined.n) == (2, 40000)
+
     def test_requires_cover(self):
         s = RectangleSet(4, (lmrs_2_2(2).arrays[0],))
         with pytest.raises(CoverError):
@@ -175,6 +189,31 @@ class TestSerialization:
         with pytest.raises(SchemaError) as err:
             deserialize(json.dumps(doc))
         assert "array 1, row 1" in str(err.value)
+
+    def test_arrays_rows_and_cells_checked(self):
+        def error_for(mutate):
+            doc = json.loads(serialize(lmrs_2_2(2)))
+            mutate(doc)
+            with pytest.raises(SchemaError) as err:
+                deserialize(json.dumps(doc))
+            return str(err.value)
+
+        assert "list of 2 arrays" in error_for(
+            lambda d: d["arrays"].pop())
+        assert "list of 2 arrays" in error_for(
+            lambda d: d.update(arrays={"1": d["arrays"]}))
+        assert "array 2: expected 2 rows" in error_for(
+            lambda d: d["arrays"][1].pop())
+        assert "array 1, row 2, column 1: cell must be a string" in error_for(
+            lambda d: d["arrays"][0][1].__setitem__(0, 3))
+
+    def test_overlong_exponent_is_a_parse_error(self):
+        doc = json.loads(serialize(lmrs_2_2(2)))
+        doc["arrays"][0][1][0] = "r^" + "7" * 5000
+        with pytest.raises(ParseError) as err:
+            deserialize(json.dumps(doc))
+        msg = str(err.value)
+        assert "array 1, row 2, column 1" in msg and "too long" in msg
 
     def test_bad_types_rejected(self):
         with pytest.raises(SchemaError):

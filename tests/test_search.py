@@ -56,6 +56,12 @@ class TestConfig:
         with pytest.raises(ValueError):
             SearchConfig(l=4, m=2, n=2, k=1)
 
+    def test_non_positive_dimensions_and_budget(self):
+        with pytest.raises(ValueError, match="dimensions must be positive"):
+            SearchConfig(l=2, m=-2, n=-2, k=1)
+        with pytest.raises(ValueError, match="node budget must be positive"):
+            SearchConfig(l=2, m=2, n=2, k=1, node_budget=0)
+
     def test_bad_mode(self):
         with pytest.raises(ValueError):
             SearchConfig(l=2, m=2, n=2, k=1, mode="both")

@@ -149,6 +149,15 @@ class TestSquares:
         with pytest.raises(ShapeError):
             verify_semi_magic_square(lmrs_2_2(2))
 
+    def test_unknown_modes_rejected(self):
+        s = lsms(4)
+        with pytest.raises(ValueError, match="unknown mode 'both'"):
+            verify_semi_magic_square(s, mode="both")
+        with pytest.raises(ValueError, match="unknown mode 'both'"):
+            verify_magic_square(s, mode="both")
+        with pytest.raises(ValueError, match="unknown diagonal mode 'both'"):
+            verify_magic_square(s, diagonal_mode="both")
+
     def test_ms4_magic_fixed(self):
         report = verify_magic_square(ms(4), mode="orderable",
                                      diagonal_mode="fixed", cap=4)
