@@ -8,6 +8,7 @@ Exit codes: 0 success/pass, 1 verified-fail or NotExists/ExhaustedNone,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import warnings
@@ -23,6 +24,7 @@ EXIT_USAGE = 2
 EXIT_CAPACITY = 3
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     from . import __version__
     parser = argparse.ArgumentParser(

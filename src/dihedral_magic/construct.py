@@ -27,25 +27,27 @@ from .errors import PlanCollisionError
 
 
 def _tile(assignment, block_for) -> Rectangle:
-    """Concatenate a grid of 2x2 blocks, given by index, into one rectangle."""
+    """Concatenate a grid of 2x2 blocks, given by index, into one rectangle;
+    block_for(p) gives the cells of block p as two rows."""
     rows: list[tuple[DihedralElement, ...]] = []
     for block_row in assignment:
-        blocks = [block_for(p).cells for p in block_row]
+        blocks = [block_for(p) for p in block_row]
         rows += [tuple(x for b in blocks for x in b[r]) for r in (0, 1)]
     return Rectangle(tuple(rows))
+
+
+def _lemma_cells(p: int, modulus: int):
+    return ((DihedralElement(False, (2 * p + 1) % modulus),
+             DihedralElement(True, -2 * p % modulus)),
+            (DihedralElement(True, (2 * p + 1) % modulus),
+             DihedralElement(False, 2 * p % modulus)))
 
 
 def lemma_block(p: int, l: int) -> Rectangle:
     """The 2x2 block M^p over D_2l (exponents reduced mod 2l)."""
     if not 0 <= p < l:
         raise ValueError(f"block index {p} out of range [0, {l})")
-    modulus = 2 * l
-    return Rectangle((
-        (dihedral.rotation(2 * p + 1, modulus),
-         dihedral.reflection(-2 * p, modulus)),
-        (dihedral.reflection(2 * p + 1, modulus),
-         dihedral.rotation(2 * p, modulus)),
-    ))
+    return Rectangle(_lemma_cells(p, dihedral.check_group_order(2 * l)))
 
 
 def lmrs_2_2(l: int) -> RectangleSet:
@@ -72,13 +74,14 @@ def lmrs_even(m: int, n: int, k: int) -> RectangleSet:
     if blocks <= 1:
         raise ValueError("m*n*k must exceed 4 (the block family needs at "
                          "least two blocks)")
+    modulus = dihedral.check_group_order(2 * blocks)
     m2, n2, per = m // 2, n // 2, (m // 2) * (n // 2)
     arrays = []
     for u in range(k):
         assignment = [[u * per + bi * n2 + bj for bj in range(n2)]
                       for bi in range(m2)]
-        arrays.append(_tile(assignment, lambda p: lemma_block(p, blocks)))
-    return RectangleSet(m * n * k // 2, tuple(arrays))
+        arrays.append(_tile(assignment, lambda p: _lemma_cells(p, modulus)))
+    return RectangleSet(modulus, tuple(arrays))
 
 
 @dataclass(frozen=True, slots=True)
@@ -181,6 +184,7 @@ def lsms(n: int, repair_plan: bool = True) -> RectangleSet:
             "enable the repaired plan)")
     side = 4 * k
     blocks = n * n // 4
+    modulus = dihedral.check_group_order(2 * blocks)
     assignment = [[-1] * side for _ in range(side)]
     for g, (a, b) in enumerate(zip(plan.main, plan.back)):
         assignment[g][g] = a
@@ -190,8 +194,16 @@ def lsms(n: int, repair_plan: bool = True) -> RectangleSet:
         for bj in range(side):
             if assignment[bi][bj] < 0:
                 assignment[bi][bj] = next(rest)
-    rect = _tile(assignment, lambda p: lemma_block(p, blocks))
-    return RectangleSet(n * n // 2, (rect,))
+    rect = _tile(assignment, lambda p: _lemma_cells(p, modulus))
+    return RectangleSet(modulus, (rect,))
+
+
+def _ms_cells(p: int, l: int):
+    low = ((DihedralElement(True, (2 * p - 1) % l),
+            DihedralElement(False, -2 * p % l)),
+           (DihedralElement(False, (2 * p - 1) % l),
+            DihedralElement(True, 2 * p % l)))
+    return low if p < l // 4 else low[::-1]
 
 
 def ms_block(p: int, l: int) -> Rectangle:
@@ -210,9 +222,7 @@ def ms_block(p: int, l: int) -> Rectangle:
         raise ValueError(f"ambient modulus must be divisible by 4, got {l}")
     if not 0 <= p < l // 2:
         raise ValueError(f"block index {p} out of range [0, {l // 2})")
-    low = ((dihedral.reflection(2 * p - 1, l), dihedral.rotation(-2 * p, l)),
-           (dihedral.rotation(2 * p - 1, l), dihedral.reflection(2 * p, l)))
-    return Rectangle(low if p < l // 4 else low[::-1])
+    return Rectangle(_ms_cells(p, dihedral.check_group_order(l)))
 
 
 def ms(n: int) -> RectangleSet:
@@ -227,9 +237,9 @@ def ms(n: int) -> RectangleSet:
     if n < 4 or n % 4:
         raise ValueError(f"side must be >= 4 and divisible by 4, got {n}")
     k = n // 4
-    modulus = 8 * k * k
+    modulus = dihedral.check_group_order(8 * k * k)
     side = 2 * k
     assignment = [[br * side + bc for bc in range(side)]
                   for br in range(side)]
     return RectangleSet(modulus,
-                        (_tile(assignment, lambda p: ms_block(p, modulus)),))
+                        (_tile(assignment, lambda p: _ms_cells(p, modulus)),))

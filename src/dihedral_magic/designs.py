@@ -258,6 +258,9 @@ def from_json_dict(doc: dict) -> RectangleSet:
     arrays_doc = doc.get("arrays")
     if not isinstance(arrays_doc, list) or len(arrays_doc) != k:
         raise SchemaError(f"'arrays' must be a list of {k} arrays")
+    # l is checked once, by parse_element on the first token (after the
+    # shape errors that come before it); later tokens skip the check
+    parse = dihedral.parse_element
     arrays = []
     for a, rows_doc in enumerate(arrays_doc):
         if not isinstance(rows_doc, list) or len(rows_doc) != m:
@@ -273,10 +276,11 @@ def from_json_dict(doc: dict) -> RectangleSet:
                     raise SchemaError(f"array {a + 1}, row {i + 1}, column "
                                       f"{j + 1}: cell must be a string token")
                 try:
-                    row.append(dihedral.parse_element(token, l))
+                    row.append(parse(token, l))
                 except ParseError as exc:
                     raise ParseError(f"array {a + 1}, row {i + 1}, column "
                                      f"{j + 1}: {exc}") from None
+                parse = dihedral._parse_token
             rows.append(row)
         arrays.append(Rectangle.from_rows(rows))
     return RectangleSet(l, tuple(arrays))
@@ -289,6 +293,10 @@ def deserialize(text: str) -> RectangleSet:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"invalid JSON: {exc}") from None
+    except ValueError:  # an integer with more digits than int() accepts
+        raise SchemaError("invalid JSON: integer literal too long") from None
+    except RecursionError:
+        raise SchemaError("invalid JSON: nested too deeply") from None
     s = from_json_dict(doc)
     report = validate_cover(s)
     if not report.ok:

@@ -1,7 +1,7 @@
 """Exact arithmetic in the dihedral group D_l of order 2l.
 
 Elements are rotations r^i or reflections r^i*s with the exponent kept
-reduced to [0, l), so equality is plain field comparison.  The defining
+reduced to [0, l), so equality is plain tuple comparison.  The defining
 relation is r^i s = s r^-i; everything below follows from it:
 
     r^a * r^b     = r^(a+b)
@@ -17,8 +17,7 @@ same relations (handy for small brute-force work).
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .errors import ParseError
 
@@ -42,12 +41,13 @@ def check_group_order(l: int) -> int:
     return l
 
 
-@dataclass(frozen=True, order=True, slots=True)
-class DihedralElement:
+class DihedralElement(NamedTuple):
     """One element of D_l: r^exponent, or r^exponent * s if is_reflection.
 
-    Ordering is (is_reflection, exponent): rotations sort before
-    reflections, each by ascending exponent; the least element is e.
+    A named tuple, so hashing, equality and ordering run in C.  Ordering
+    is (is_reflection, exponent): rotations sort before reflections, each
+    by ascending exponent; the least element is e.  An element equals the
+    plain tuple (is_reflection, exponent).
     """
 
     is_reflection: bool
@@ -109,16 +109,28 @@ def elements(l: int) -> list[DihedralElement]:
 
 
 def word_product(seq: Iterable[DihedralElement], l: int) -> DihedralElement:
-    """Left-to-right product of a sequence; empty product is e."""
-    acc = DihedralElement(False, 0)
+    """Left-to-right product of a sequence; empty product is e.
+
+    One pass, as _kernels_py._word_index does on indices: r^E s^f times
+    r^b s^g is r^(E + (-1)^f b) s^(f + g), so each exponent enters E
+    with the sign set by the reflections before it.
+    """
+    exp = 0
+    flip = False
     for x in seq:
-        acc = multiply(acc, x, l)
-    return acc
+        exp = exp - x.exponent if flip else exp + x.exponent
+        flip = flip != x.is_reflection
+    return DihedralElement(flip, exp % l)
 
 
 def parse_element(token: str, l: int) -> DihedralElement:
     """Parse "r^<int>" / "r^<int>*s" (aliases e, r, s, rs); reduces mod l."""
     check_group_order(l)
+    return _parse_token(token, l)
+
+
+def _parse_token(token: str, l: int) -> DihedralElement:
+    """parse_element for an l the caller has already checked."""
     stripped = token.strip()
     alias = _ALIASES.get(stripped)
     if alias is not None:

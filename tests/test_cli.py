@@ -130,6 +130,17 @@ class TestVerifyPipeline:
         assert code == 2
         assert "array 1, row 1, column 2" in err and "too long" in err
 
+    @pytest.mark.parametrize("text", [
+        '{"l": ' + "1" * 5000 + ', "m": 1, "n": 2, "k": 1}',
+        "[" * 100_000])
+    def test_unreadable_json_is_a_usage_error(self, tmp_path, capsys, text):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        code, out, err = run_cli(capsys, "verify", "--in", str(path))
+        assert code == 2 and not out
+        assert err.startswith("error: invalid JSON")
+        assert "set_int_max_str_digits" not in err
+
     def test_huge_group_order_costs_no_more_than_the_input(self, tmp_path,
                                                            capsys):
         # 2 cells claiming D_(10^7): the cover report must not enumerate
@@ -289,6 +300,35 @@ class TestConcatRender:
                                     "--l", "3")
         s = designs.deserialize(json_out)
         assert text_out.strip() == designs.render_text(s)
+
+
+class TestParserReuse:
+    """cli.run reuses one parser; no call may see another call's flags."""
+
+    @staticmethod
+    def first_and_repeat(capsys, runs):
+        first = []
+        for argv in runs:
+            cli._build_parser.cache_clear()
+            first.append(run_cli(capsys, *argv))
+        cli._build_parser.cache_clear()
+        return first, [run_cli(capsys, *argv) for argv in runs]
+
+    def test_verify_json_then_text(self, tmp_path, capsys):
+        path = tmp_path / "set.json"
+        path.write_text(designs.serialize(lmrs_2_2(4)))
+        verify = ["verify", "--in", str(path)]
+        first, repeat = self.first_and_repeat(
+            capsys, [verify + ["--json"], verify, verify + ["--json"]])
+        assert repeat == first
+        assert first[0][1] != first[1][1]
+
+    def test_search_count_then_find(self, capsys):
+        search = ["search", "--l", "4", "--m", "2", "--n", "2", "--k", "2"]
+        first, repeat = self.first_and_repeat(
+            capsys, [search + ["--count"], search, search + ["--count"]])
+        assert repeat == first
+        assert "solutions_count" not in first[1][1]
 
 
 class TestUsage:

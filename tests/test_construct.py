@@ -337,3 +337,24 @@ class TestEveryConstructorCovers:
     ])
     def test_exact_cover(self, s):
         assert validate_cover(s).ok
+
+
+class TestGroupOrderCheck:
+    @pytest.mark.parametrize("build", [
+        lambda: lmrs_even(2, 2, 10**7), lambda: lsms(4480),
+        lambda: ms(4480)], ids=["lmrs_even", "lsms", "ms"])
+    def test_oversized_group_refused_before_building(self, build):
+        # D_l with l > MAX_GROUP_ORDER is refused once, up front, not
+        # after millions of cells are placed
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="exceeds the supported maximum"):
+            build()
+        assert time.perf_counter() - start < 0.5
+
+    def test_blocks_check_the_group_order(self):
+        with pytest.raises(ValueError, match="exceeds the supported maximum"):
+            lemma_block(0, 5 * 10**6 + 1)
+        with pytest.raises(ValueError, match="exceeds the supported maximum"):
+            ms_block(0, 10**7 + 4)
+        with pytest.raises(TypeError):
+            lemma_block(0, 2.5)

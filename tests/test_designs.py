@@ -224,6 +224,30 @@ class TestSerialization:
         with pytest.raises(SchemaError):
             deserialize("{not json")
 
+    @pytest.mark.parametrize("text, reason", [
+        ('{"l": ' + "1" * 5000 + ', "m": 1, "n": 2, "k": 1}',
+         "invalid JSON: integer literal too long"),
+        ("[" * 100_000, "invalid JSON: nested too deeply")])
+    def test_unreadable_json_is_a_schema_error(self, text, reason):
+        with pytest.raises(SchemaError, match=reason) as err:
+            deserialize(text)
+        assert "set_int_max_str_digits" not in str(err.value)
+
+    def test_group_order_checked_at_the_first_token(self):
+        def error_for(l, arrays):
+            with pytest.raises(ValueError) as err:
+                deserialize(json.dumps({"l": l, "m": 1, "n": 2, "k": 1,
+                                        "arrays": arrays}))
+            return type(err.value), str(err.value)
+
+        # a shape error before the first token wins, as does a cell that
+        # is not a string; from the first token on, l is at fault
+        assert error_for(0, [[["r^0"]]])[0] is SchemaError
+        assert error_for(0, [[[0, "r^0"]]])[0] is SchemaError
+        for arrays in ([[["r^0", 1]]], [[["r^0", "r^1"]]]):
+            assert error_for(0, arrays) == (
+                ValueError, "group order parameter must be >= 1, got 0")
+
     def test_exponents_reduce_on_parse(self):
         doc = {"l": 4, "m": 1, "n": 2, "k": 1,
                "arrays": [[["r^-1", "r^5*s"]]]}

@@ -6,7 +6,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from dihedral_magic import dihedral
+from dihedral_magic import _kernels_py, dihedral
 from dihedral_magic.dihedral import (DihedralElement, element_from_index,
                                      element_index, elements, format_element,
                                      identity, inverse, multiply,
@@ -159,8 +159,52 @@ class TestLaws:
         assert power(a, t, l) == brute_power(a, t, l)
 
     def test_element_ordering_rotations_first(self):
-        assert sorted(elements(5)) == elements(5)
+        for l in range(1, 9):
+            assert sorted(elements(l)) == elements(l)
         assert min(elements(5)) == identity(5)
+
+
+class TestElementContract:
+    """The tuple behaviour that hashing and the one-pass word product
+    rely on, checked exhaustively over small groups (ordering is pinned
+    in TestLaws)."""
+
+    def test_hash_and_equality_are_those_of_the_field_tuple(self):
+        for l in range(1, 9):
+            for e in elements(l):
+                assert hash(e) == hash((e.is_reflection, e.exponent))
+                assert e == (e.is_reflection, e.exponent)
+
+    def test_repr_str_and_immutability(self):
+        e = DihedralElement(True, 3)
+        assert repr(e) == "DihedralElement(is_reflection=True, exponent=3)"
+        assert str(e) == "r^3*s" and str(DihedralElement(False, 3)) == "r^3"
+        with pytest.raises(AttributeError):
+            e.exponent = 4
+
+    @staticmethod
+    def words(l, max_len=4):
+        g = elements(l)
+        for n in range(max_len + 1):
+            yield from itertools.product(g, repeat=n)
+
+    def test_word_product_is_the_left_fold_of_multiply(self):
+        for l in range(1, 6):
+            for word in self.words(l):
+                acc = identity(l)
+                for x in word:
+                    acc = multiply(acc, x, l)
+                got = word_product(word, l)
+                assert got == acc
+                assert type(got.is_reflection) is bool
+
+    def test_word_product_matches_the_index_kernel(self):
+        # verify and search share one product formula
+        for l in range(1, 6):
+            for word in self.words(l):
+                idxs = [element_index(x, l) for x in word]
+                assert element_index(word_product(word, l), l) == \
+                    _kernels_py._word_index(idxs, l)
 
 
 class TestReflectionParity:
