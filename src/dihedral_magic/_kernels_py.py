@@ -9,6 +9,14 @@ Element indices follow elements(l): rotations 0..l-1 by exponent,
 reflections l..2l-1.  Search status codes: 0 found (short-circuit),
 1 space exhausted, 2 node budget exceeded.  The compiled extension
 implements run_search with identical results and node accounting.
+
+The pure search does O(1) work per node.  A plan built once per call
+gives each position its neighbours and the lines it ends, each position
+keeps its row's and column's state so far (a product in linear mode, a
+cell-set bitmask in orderable mode), and candidates are walked as a
+bitmask of free elements, lowest first.  In linear mode a line that
+ends with its product already fixed admits exactly one element; the
+others are counted as nodes without being placed.
 """
 
 from __future__ import annotations
@@ -76,95 +84,185 @@ def achievable_indices(cells, l: int) -> list[int]:
     return out
 
 
+def _product_table(l: int) -> list[list[int]]:
+    """mul[a][b] = index of the product a b, built row by row in closed
+    form.  r^a r^b = r^(a+b) and r^a r^b s = r^(a+b) s, so the row of r^a
+    is range(l) rotated by a, twice; r^a s r^b = r^(a-b) s and
+    r^a s r^b s = r^(a-b), so the row of r^a s counts down instead."""
+    rot = list(range(l))
+    ref = list(range(l, 2 * l))
+    table = [rot[a:] + rot[:a] + ref[a:] + ref[:a] for a in range(l)]
+    rot.reverse()
+    ref.reverse()
+    for a in range(l):
+        s = l - 1 - a  # where a (and l + a) sit in the reversed lists
+        table.append(ref[s:] + ref[:s] + rot[s:] + rot[:s])
+    return table
+
+
+def _key_mask(key: int, l: int) -> int:
+    """reachable_mask of the line whose cells are the set bits of key."""
+    cells = []
+    while key:
+        b = key & -key
+        cells.append(b.bit_length() - 1)
+        key ^= b
+    return reachable_mask(cells, l)
+
+
 def run_search(l: int, m: int, n: int, k: int, linear: bool,
                symmetry: bool, count_all: bool, budget: int):
     """Depth-first placement of all 2l elements into the k m x n arrays.
 
-    Cells fill array by array, row-major.  Each completed line yields a
-    mask of the products it can take: one fixed product in linear mode
-    (rows left-to-right, columns bottom-to-top), reachable_mask in
-    orderable mode.  rho and sigma are the running intersections over
-    rows and columns (0 until the first line), and a branch is pruned
-    when one becomes empty.  A node is counted for every placement of an
-    unused, symmetry-admissible element.
+    Cells fill array by array, row-major, and candidates are tried in
+    ascending index order.  Each completed line yields a mask of the
+    products it can take; rho and sigma are the running intersections
+    over rows and columns, and a branch is pruned when one becomes
+    empty.  A node is counted for every placement of an unused,
+    symmetry-admissible element: with symmetry on, an array's first cell
+    exceeds the previous array's first cell, and in orderable mode the
+    identity comes first.
+
+    Per node the work is O(1).  Linear mode carries each row's product
+    left to right (rowv[t] = mul[rowv[t-1]][x]) and each column's product
+    bottom to top (colv[t] = mul[x][colv[t-n]]), so rho and sigma are
+    single products.  A row (column) ending where rho (sigma) is already
+    fixed admits only the element that completes that product, so the
+    candidates that fail are counted in bulk.  Orderable mode carries
+    each line's cell set as a bitmask (cells are distinct) and memoises
+    reachable_mask per set.
     """
     G = 2 * l
     per = m * n
     N = per * k
-    grid = [-1] * N
-    used = [False] * G
-    anchor = [-1] * N
-    if symmetry:
-        for a in range(1, k):
-            anchor[a * per] = (a - 1) * per
-    fix_first = symmetry and not linear
+    # plan[t]: ends a row, ends a column, left and upper neighbour (the
+    # spare slot N, an empty line, where a line starts), the candidate
+    # cut (the identity only at t = 0 in orderable mode with symmetry)
+    # and the anchor whose cell this one must exceed (-1 for none)
+    plan = []
+    for t in range(N):
+        i, j = divmod(t % per, n)
+        plan.append((j == n - 1, i == m - 1, t - 1 if j else N,
+                     t - n if i else N,
+                     1 if t == 0 and symmetry and not linear else -1,
+                     t - per if symmetry and t >= per and t % per == 0
+                     else -1))
+    grid = [0] * N
+    # the row up to t and the column from t up: products (linear mode,
+    # rows left to right, columns bottom to top) or cell sets (orderable)
+    rowv = [0] * (N + 1)
+    colv = [0] * (N + 1)
 
     nodes = 0
     count = 0
     found: list[int] | None = None
     status = 1
 
-    memo: dict[tuple[int, ...], int] = {}
+    def leaf() -> bool:
+        nonlocal count, found, status
+        count += 1
+        if found is None:
+            found = grid.copy()
+        if not count_all:
+            status = 0
+            return True
+        return False
 
-    def word_mask(vals: list[int]) -> int:
-        return 1 << _word_index(vals, l)
+    if linear:
+        mul = _product_table(l)
+        lmul = [list(col) for col in zip(*mul)]  # lmul[c][x] = mul[x][c]
+        inv = [-a % l for a in range(l)] + list(range(l, G))
 
-    def reachable_memo(vals: list[int]) -> int:
-        key = tuple(sorted(vals))
-        got = memo.get(key)
-        if got is None:
-            got = memo[key] = reachable_mask(key, l)
-        return got
-
-    line_mask = word_mask if linear else reachable_memo
-
-    def check_lines(t: int, rho: int, sigma: int):
-        a, w = divmod(t, per)
-        i, j = divmod(w, n)
-        base = a * per
-        if j == n - 1:
-            mask = line_mask(grid[base + i * n:base + i * n + n])
-            rho = rho & mask if rho else mask
-            if not rho:
-                return False, rho, sigma
-        if i == m - 1:
-            mask = line_mask(grid[base + j:base + per:n][::-1])
-            sigma = sigma & mask if sigma else mask
-            if not sigma:
-                return False, rho, sigma
-        return True, rho, sigma
-
-    def dfs(t: int, rho: int, sigma: int) -> bool:
-        nonlocal nodes, count, found, status
+    def linear_dfs(t: int, rho: int, sigma: int, free: int) -> bool:
+        # rho, sigma: the line product, -1 before the first line
+        nonlocal nodes, status
         if t == N:
-            count += 1
-            if found is None:
-                found = grid.copy()
-            if not count_all:
-                status = 0
+            return leaf()
+        row_end, col_end, left, up, cand, anc = plan[t]
+        cand &= free
+        if anc >= 0:
+            cand &= -(2 << grid[anc])  # elements above the anchor's
+        p = rowv[left]
+        q = colv[up]
+        live = cand
+        if row_end and rho >= 0:
+            live &= 1 << mul[inv[p]][rho]  # the x with p x = rho
+        if col_end and sigma >= 0:
+            live &= 1 << mul[sigma][inv[q]]  # the x with x q = sigma
+        row = mul[p]
+        col = lmul[q]
+        while live:
+            b = live & -live
+            live ^= b
+            # the candidates below b fail a line here but are nodes too
+            nodes += (cand & (b - 1)).bit_count() + 1
+            if nodes > budget:
+                nodes = budget + 1  # where a node-at-a-time count stops
+                status = 2
                 return True
-            return False
-        anc = anchor[t]
-        for x in range(G):
-            if used[x]:
-                continue
-            if fix_first and t == 0 and x != 0:
-                continue
-            if anc >= 0 and x <= grid[anc]:
-                continue
+            cand &= -(b << 1)
+            x = b.bit_length() - 1
+            grid[t] = x
+            r = rowv[t] = row[x]
+            c = colv[t] = col[x]
+            if linear_dfs(t + 1, r if row_end else rho,
+                          c if col_end else sigma, free ^ b):
+                return True
+        nodes += cand.bit_count()  # the candidates above the last live one
+        if nodes > budget:
+            nodes = budget + 1
+            status = 2
+            return True
+        return False
+
+    memo: dict[int, int] = {}
+
+    def orderable_dfs(t: int, rho: int, sigma: int, free: int) -> bool:
+        # rho, sigma: masks of the products every line so far can take,
+        # 0 before the first line
+        nonlocal nodes, status
+        if t == N:
+            return leaf()
+        row_end, col_end, left, up, cand, anc = plan[t]
+        cand &= free
+        if anc >= 0:
+            cand &= -(2 << grid[anc])  # elements above the anchor's
+        row = rowv[left]
+        col = colv[up]
+        while cand:
+            b = cand & -cand
+            cand ^= b
             nodes += 1
             if nodes > budget:
                 status = 2
                 return True
-            grid[t] = x
-            used[x] = True
-            ok, nrho, nsigma = check_lines(t, rho, sigma)
-            stop = ok and dfs(t + 1, nrho, nsigma)
-            grid[t] = -1
-            used[x] = False
-            if stop:
+            r = row | b
+            c = col | b
+            nrho = rho
+            nsigma = sigma
+            if row_end:
+                mask = memo.get(r)
+                if mask is None:
+                    mask = memo[r] = _key_mask(r, l)
+                nrho = rho & mask if rho else mask
+                if not nrho:
+                    continue
+            if col_end:
+                mask = memo.get(c)
+                if mask is None:
+                    mask = memo[c] = _key_mask(c, l)
+                nsigma = sigma & mask if sigma else mask
+                if not nsigma:
+                    continue
+            grid[t] = b.bit_length() - 1
+            rowv[t] = r
+            colv[t] = c
+            if orderable_dfs(t + 1, nrho, nsigma, free ^ b):
                 return True
         return False
 
-    dfs(0, 0, 0)
+    if linear:
+        linear_dfs(0, -1, -1, (1 << G) - 1)
+    else:
+        orderable_dfs(0, 0, 0, (1 << G) - 1)
     return status, nodes, count, found

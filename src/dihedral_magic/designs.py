@@ -77,12 +77,20 @@ class RectangleSet:
             if rect.m != m or rect.n != n:
                 raise ValueError(f"array {idx} has shape {rect.m}x{rect.n}, "
                                  f"expected {m}x{n}")
-            for row in rect.cells:
-                for cell in row:
-                    if (not 0 <= cell.exponent < self.l
-                            or cell.is_reflection not in (False, True)):
-                        raise ValueError(
-                            f"cell {cell} is not canonical for l={self.l}")
+            try:
+                for row in rect.cells:
+                    for cell in row:
+                        if (not 0 <= cell.exponent < self.l
+                                or cell.is_reflection not in (False, True)):
+                            raise ValueError(
+                                f"cell {cell} is not canonical for l={self.l}")
+            except AttributeError:
+                # row and cell are the ones that raised; find them by identity
+                # (a plain tuple compares equal to an element)
+                i = next(i for i, r in enumerate(rect.cells) if r is row)
+                j = next(j for j, c in enumerate(row) if c is cell)
+                raise ValueError(f"array {idx}, row {i}, column {j}: {cell!r} "
+                                 "is not a group element") from None
 
     @property
     def k(self) -> int:

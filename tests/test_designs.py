@@ -51,6 +51,19 @@ class TestModel:
         with pytest.raises(ValueError):
             RectangleSet(1, (Rectangle(((rotation(0, 1), bad),)),))
 
+    def test_cells_that_are_not_elements_rejected(self):
+        e = elements(2)
+        # a flat row where rows are expected reads as a grid of bools and ints
+        with pytest.raises(ValueError, match=r"array 0, row 0, column 0: "
+                                             r"False is not a group element"):
+            RectangleSet(2, (Rectangle((e[0], e[1])),))
+        # a plain (flag, exponent) tuple equals an element but is not one;
+        # the error names it, not the equal element before it
+        plain = Rectangle(((e[0], e[1]), (e[3], (True, 1))))
+        with pytest.raises(ValueError, match=r"array 1, row 1, column 1: "
+                                             r"\(True, 1\) is not"):
+            RectangleSet(2, (square_over(2).arrays[0], plain))
+
 
 class TestCover:
     def test_lmrs_cover_ok(self):

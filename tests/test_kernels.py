@@ -1,6 +1,7 @@
 """Kernels: closed-form reachability against permutation products, and
 backend parity (the compiled search must behave exactly like the pure
-twin: results, node counts, budget accounting)."""
+twin: results, node counts, budget accounting), and node counts pinned
+on whichever backends are present."""
 
 import itertools
 import random
@@ -25,6 +26,22 @@ class TestIndexMultiply:
                 got = _kernels_py._word_index([element_index(a, l),
                                                element_index(b, l)], l)
                 assert got == want
+
+    def test_product_table_matches_word_index(self):
+        for l in range(1, 33):
+            G = 2 * l
+            assert _kernels_py._product_table(l) == [
+                [_kernels_py._word_index((a, b), l) for b in range(G)]
+                for a in range(G)]
+
+    def test_line_key_mask_matches_sorted_cells(self):
+        rng = random.Random(11)
+        for l in range(1, 33):
+            for _ in range(20):
+                cells = rng.sample(range(2 * l), rng.randint(1, min(2 * l, 12)))
+                key = sum(1 << x for x in cells)
+                assert _kernels_py._key_mask(key, l) == \
+                    _kernels_py.reachable_mask(tuple(sorted(cells)), l)
 
 
 class TestAchievableParity:
@@ -97,6 +114,36 @@ class TestSearchParity:
     def test_rejects_groups_beyond_64_bits(self):
         with pytest.raises(ValueError):
             compiled.run_search(33, 2, 33, 1, False, True, False, 100)
+
+
+# (l, m, n, k, linear, symmetry, count_all, budget) -> (status, nodes, count),
+# recorded from the kernel that re-read every completed line from the grid
+PINNED_RUNS = [
+    ((4, 2, 2, 2, True, True, True, 10**9), (1, 4196, 48)),
+    ((4, 2, 2, 2, True, True, False, 10**9), (0, 301, 1)),
+    ((4, 2, 2, 2, True, False, True, 10**9), (1, 6128, 96)),
+    ((4, 2, 2, 2, True, False, False, 10**9), (0, 301, 1)),
+    ((4, 2, 2, 2, False, True, True, 10**9), (1, 2084, 240)),
+    ((4, 2, 2, 2, False, True, False, 10**9), (0, 15, 1)),
+    ((4, 2, 2, 2, False, False, True, 10**9), (1, 16192, 1920)),
+    ((4, 2, 2, 2, False, False, False, 10**9), (0, 15, 1)),
+    ((6, 2, 3, 2, False, True, False, 1), (2, 2, 0)),
+    ((6, 2, 3, 2, False, True, False, 137), (2, 138, 0)),
+    ((6, 2, 3, 2, True, True, True, 10**9), (1, 183000, 0)),
+    ((8, 2, 4, 2, True, True, False, 10**9), (0, 3436, 1)),
+    ((8, 4, 4, 1, True, True, False, 5000), (2, 5001, 0)),
+    ((3, 2, 3, 1, False, False, True, 10**9), (1, 1620, 0)),
+    ((32, 2, 32, 1, True, False, True, 20000), (2, 20001, 32)),
+    ((32, 2, 32, 1, False, False, True, 20000), (2, 20001, 130)),
+]
+
+
+@pytest.mark.parametrize("args, want", PINNED_RUNS)
+def test_node_counts_pinned_on_every_backend(args, want):
+    for run_search in {_kernels_py.run_search, _backend.run_search}:
+        status, nodes, count, found = run_search(*args)
+        assert (status, nodes, count) == want, run_search
+        assert (found is None) == (count == 0)
 
 
 def test_search_cap_fits_the_compiled_masks():
