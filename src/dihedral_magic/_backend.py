@@ -1,6 +1,8 @@
 """Kernel backend selection.
 
-Product reachability is a closed form and always runs in pure Python.
+Product reachability is a closed form and always runs in pure Python:
+verification intersects reachable_mask bitmasks, and achievable_indices
+lists one mask's indices.
 The search runs in the compiled extension when it is built, else in
 pure Python.  Set DIHEDRAL_MAGIC_PURE=1 to force the pure search even
 when the extension is built (used by the benchmark and the parity tests).
@@ -25,6 +27,7 @@ def active_backend() -> str:
     return "pure" if compiled is None else "compiled"
 
 
+reachable_mask = pure.reachable_mask
 achievable_indices = pure.achievable_indices
 
 # The compiled kernel keeps product sets in 64-bit masks; search.HARD_CAP

@@ -72,11 +72,13 @@ class RectangleSet:
         dihedral.check_group_order(self.l)
         if not self.arrays:
             raise ValueError("rectangle set must contain at least one array")
-        m, n = self.arrays[0].m, self.arrays[0].n
         for idx, rect in enumerate(self.arrays):
-            if rect.m != m or rect.n != n:
+            if not isinstance(rect, Rectangle):
+                raise ValueError(f"array {idx} is not a Rectangle")
+            # self.m and self.n read array 0, checked on the first pass
+            if rect.m != self.m or rect.n != self.n:
                 raise ValueError(f"array {idx} has shape {rect.m}x{rect.n}, "
-                                 f"expected {m}x{n}")
+                                 f"expected {self.m}x{self.n}")
             try:
                 for row in rect.cells:
                     for cell in row:

@@ -95,6 +95,13 @@ class VerificationReport:
         return out
 
 
+def _refuse_over_cap(cells: int, cap: int) -> None:
+    if cells > cap:
+        raise CapacityError(
+            f"achievable_products over {cells} cells exceeds cap {cap}; "
+            "use linear mode or raise the cap")
+
+
 def achievable_products(cells, l: int, cap: int = DEFAULT_CAP) -> frozenset[DihedralElement]:
     """Exact set of products reachable by some ordering of `cells`.
 
@@ -103,13 +110,37 @@ def achievable_products(cells, l: int, cap: int = DEFAULT_CAP) -> frozenset[Dihe
     |cells| above the cap is refused with CapacityError.
     """
     cells = list(cells)
-    if len(cells) > cap:
-        raise CapacityError(
-            f"achievable_products over {len(cells)} cells exceeds cap {cap}; "
-            "use linear mode or raise the cap")
+    _refuse_over_cap(len(cells), cap)
     idxs = [dihedral.element_index(c, l) for c in cells]
     return frozenset(dihedral.element_from_index(i, l)
                      for i in _backend.achievable_indices(idxs, l))
+
+
+# Orderable verification keeps product sets as masks over element
+# indices (bit i set iff element_from_index(i, l) is in the set), and
+# index order is element order: the least member is the lowest set bit.
+
+def _line_mask(line, l: int) -> int:
+    """Mask of the products some ordering of `line` reaches."""
+    return _backend.reachable_mask(
+        [x.exponent + l * x.is_reflection for x in line], l)
+
+
+def _least(mask: int, l: int) -> DihedralElement | None:
+    """Least element of the mask, or None when it is empty."""
+    if not mask:
+        return None
+    return dihedral.element_from_index((mask & -mask).bit_length() - 1, l)
+
+
+def _members(mask: int, l: int) -> tuple[DihedralElement, ...]:
+    """Elements of the mask in ascending order."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(dihedral.element_from_index(low.bit_length() - 1, l))
+        mask ^= low
+    return tuple(out)
 
 
 def _linear_products(s: RectangleSet):
@@ -128,18 +159,18 @@ def _linear_products(s: RectangleSet):
     return first["row"], first["column"], failures
 
 
-def _common_products(s: RectangleSet, axis: str, cap: int):
-    """Products every `axis` line can reach, and the failure of the first
-    line that leaves none."""
-    common: frozenset[DihedralElement] | None = None
+def _common_products(s: RectangleSet, axis: str):
+    """Mask of the products every `axis` line can reach, and the failure
+    of the first line that leaves none."""
+    common = (1 << 2 * s.l) - 1
     for a, rect in enumerate(s.arrays, start=1):
         lines = rect.cells if axis == "row" else zip(*rect.cells)
         for i, line in enumerate(lines, start=1):
-            reachable = achievable_products(line, s.l, cap)
-            common = reachable if common is None else common & reachable
+            reachable = _line_mask(line, s.l)
+            common &= reachable
             if not common:
                 return common, [Failure(a, f"{axis} {i}",
-                                        tuple(sorted(reachable)),
+                                        _members(reachable, s.l),
                                         f"no common {axis} product remains")]
     return common, []
 
@@ -149,8 +180,8 @@ def _orderable_sets(s: RectangleSet, cap: int):
         raise CapacityError(
             f"orderable verification of lines up to length {max(s.m, s.n)} "
             f"exceeds cap {cap}; raise the cap or use linear mode")
-    rho_set, row_failures = _common_products(s, "row", cap)
-    sigma_set, column_failures = _common_products(s, "column", cap)
+    rho_set, row_failures = _common_products(s, "row")
+    sigma_set, column_failures = _common_products(s, "column")
     return rho_set, sigma_set, row_failures + column_failures
 
 
@@ -168,8 +199,8 @@ def verify_orderable(s: RectangleSet, cap: int = DEFAULT_CAP) -> VerificationRep
     to all rows resp. columns across all k arrays.  Witnesses are the
     lexicographically least members of the surviving intersections."""
     rho_set, sigma_set, failures = _orderable_sets(s, cap)
-    witnessed = ProductSpec(rho=min(rho_set) if rho_set else None,
-                            sigma=min(sigma_set) if sigma_set else None)
+    witnessed = ProductSpec(rho=_least(rho_set, s.l),
+                            sigma=_least(sigma_set, s.l))
     return VerificationReport("orderable", witnessed, tuple(failures),
                               validate_cover(s))
 
@@ -184,10 +215,12 @@ def _require_square(s: RectangleSet) -> None:
 
 
 def _semi_magic(s: RectangleSet, mode: str, cap: int):
-    """Shared semi-magic core: returns (mu candidates, witnesses, failures)."""
+    """Shared semi-magic core: returns (mask of mu candidates, witnesses,
+    failures)."""
     if mode == "linear":
         rho, sigma, failures = _linear_products(s)
-        candidates = frozenset((rho,)) if not failures and rho == sigma else frozenset()
+        candidates = (1 << dihedral.element_index(rho, s.l)
+                      if not failures and rho == sigma else 0)
         if not failures and rho != sigma:
             failures.append(Failure(None, "rho=sigma", (rho, sigma),
                                     "row and column products differ"))
@@ -197,12 +230,11 @@ def _semi_magic(s: RectangleSet, mode: str, cap: int):
         candidates = rho_set & sigma_set
         if not failures and not candidates:
             failures.append(Failure(None, "rho=sigma",
-                                    tuple(sorted(rho_set | sigma_set)),
+                                    _members(rho_set | sigma_set, s.l),
                                     "no product is reachable by every row "
                                     "and every column"))
-        rho = min(rho_set) if rho_set else None
-        sigma = min(sigma_set) if sigma_set else None
-        return candidates, rho, sigma, failures
+        return (candidates, _least(rho_set, s.l), _least(sigma_set, s.l),
+                failures)
     raise ValueError(f"unknown mode {mode!r}")
 
 
@@ -211,7 +243,7 @@ def verify_semi_magic_square(s: RectangleSet, mode: str = "linear",
     """Single square array with equal row and column products rho = sigma."""
     _require_square(s)
     candidates, rho, sigma, failures = _semi_magic(s, mode, cap)
-    mu = min(candidates) if candidates else None
+    mu = _least(candidates, s.l)
     witnessed = ProductSpec(rho=mu if mu is not None else rho,
                             sigma=mu if mu is not None else sigma,
                             mu=mu)
@@ -242,7 +274,7 @@ def verify_magic_square(s: RectangleSet, mode: str = "linear",
         d1 = dihedral.word_product(reversed(main), s.l)
         d2 = dihedral.word_product(back, s.l)
         if candidates:
-            if d1 == d2 and d1 in candidates:
+            if d1 == d2 and candidates >> dihedral.element_index(d1, s.l) & 1:
                 mu = d1
             elif d1 != d2:
                 failures.append(Failure(None, "diagonals", (d1, d2),
@@ -253,16 +285,14 @@ def verify_magic_square(s: RectangleSet, mode: str = "linear",
                                         "diagonal product is not a common "
                                         "row/column product"))
     else:
-        main_set = achievable_products(main, s.l, cap)
-        back_set = achievable_products(back, s.l, cap)
-        reachable = candidates & main_set & back_set
+        _refuse_over_cap(n, cap)
         if candidates:
-            if reachable:
-                mu = min(reachable)
-                d1 = d2 = mu
+            both = _line_mask(main, s.l) & _line_mask(back, s.l)
+            if candidates & both:
+                mu = d1 = d2 = _least(candidates & both, s.l)
             else:
                 failures.append(Failure(None, "diagonals",
-                                        tuple(sorted(main_set & back_set)),
+                                        _members(both, s.l),
                                         "no common product is reachable by "
                                         "both diagonals"))
     witnessed = ProductSpec(rho=mu if mu is not None else rho,

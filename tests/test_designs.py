@@ -64,6 +64,14 @@ class TestModel:
                                              r"\(True, 1\) is not"):
             RectangleSet(2, (square_over(2).arrays[0], plain))
 
+    def test_arrays_that_are_not_rectangles_rejected(self):
+        e = elements(2)
+        grid = ((e[0], e[1]), (e[2], e[3]))
+        with pytest.raises(ValueError, match=r"^array 0 is not a Rectangle$"):
+            RectangleSet(2, (grid,))
+        with pytest.raises(ValueError, match=r"^array 1 is not a Rectangle$"):
+            RectangleSet(2, (square_over(2).arrays[0], grid))
+
 
 class TestCover:
     def test_lmrs_cover_ok(self):

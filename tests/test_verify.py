@@ -7,11 +7,13 @@ import random
 import pytest
 
 from dihedral_magic.construct import lmrs_2_2, lmrs_even, lsms, ms
-from dihedral_magic.designs import Rectangle, RectangleSet
+from dihedral_magic.designs import (ProductSpec, Rectangle, RectangleSet,
+                                    validate_cover)
 from dihedral_magic.dihedral import (elements, identity, parse_element,
                                      reflection, rotation, word_product)
 from dihedral_magic.errors import CapacityError, ShapeError
-from dihedral_magic.verify import (achievable_products, verify_linear,
+from dihedral_magic.verify import (Failure, VerificationReport,
+                                   achievable_products, verify_linear,
                                    verify_magic_square, verify_orderable,
                                    verify_semi_magic_square)
 
@@ -124,6 +126,15 @@ class TestVerifyOrderable:
     def test_cap_precondition(self):
         with pytest.raises(CapacityError):
             verify_orderable(lmrs_even(2, 10, 1), cap=8)
+
+    def test_linear_lines_with_orderable_diagonals_over_the_cap(self):
+        # linear rows and columns have no cap; the diagonals still do
+        with pytest.raises(CapacityError) as info:
+            verify_magic_square(lsms(16), mode="linear",
+                                diagonal_mode="orderable")
+        assert str(info.value) == (
+            "achievable_products over 16 cells exceeds cap 8; "
+            "use linear mode or raise the cap")
 
 
 class TestSquares:
@@ -270,3 +281,178 @@ class TestOrderableSymmetries:
             assert report.passed and flipped.passed
             assert flipped.witnessed.rho == report.witnessed.sigma
             assert flipped.witnessed.sigma == report.witnessed.rho
+
+
+# The frozenset reading of the verifiers: every line's products as
+# achievable_products, intersected with &, witnesses by min and failures
+# listing tuple(sorted(...)).  The verifiers keep the same sets as
+# bitmasks; both readings must give the same reports and errors.
+
+def ref_common(s, axis, cap):
+    common = None
+    for a, rect in enumerate(s.arrays, start=1):
+        lines = rect.cells if axis == "row" else zip(*rect.cells)
+        for i, line in enumerate(lines, start=1):
+            reach = achievable_products(line, s.l, cap)
+            common = reach if common is None else common & reach
+            if not common:
+                return common, [Failure(a, f"{axis} {i}", tuple(sorted(reach)),
+                                        f"no common {axis} product remains")]
+    return common, []
+
+
+def ref_orderable_sets(s, cap):
+    if max(s.m, s.n) > cap:
+        raise CapacityError(
+            f"orderable verification of lines up to length {max(s.m, s.n)} "
+            f"exceeds cap {cap}; raise the cap or use linear mode")
+    rho_set, row_failures = ref_common(s, "row", cap)
+    sigma_set, column_failures = ref_common(s, "column", cap)
+    return rho_set, sigma_set, row_failures + column_failures
+
+
+def ref_verify_orderable(s, cap):
+    rho_set, sigma_set, failures = ref_orderable_sets(s, cap)
+    witnessed = ProductSpec(rho=min(rho_set, default=None),
+                            sigma=min(sigma_set, default=None))
+    return VerificationReport("orderable", witnessed, tuple(failures),
+                              validate_cover(s))
+
+
+def ref_semi_magic(s, mode, cap):
+    """(mu candidates, rho, sigma, failures) of a square's lines."""
+    if mode == "linear":
+        first, failures = {}, []
+        cells = s.arrays[0].cells
+        for axis, lines in (("row", cells), ("column", zip(*reversed(cells)))):
+            for i, line in enumerate(lines, start=1):
+                p = word_product(line, s.l)
+                expected = first.setdefault(axis, p)
+                if p != expected:
+                    failures.append(Failure(1, f"{axis} {i}", (p,),
+                                            f"expected {expected}"))
+        rho, sigma = first["row"], first["column"]
+        if failures:
+            return frozenset(), rho, sigma, failures
+        if rho != sigma:
+            return frozenset(), rho, sigma, [Failure(
+                None, "rho=sigma", (rho, sigma),
+                "row and column products differ")]
+        return frozenset({rho}), rho, sigma, []
+    rho_set, sigma_set, failures = ref_orderable_sets(s, cap)
+    candidates = rho_set & sigma_set
+    if not failures and not candidates:
+        failures.append(Failure(None, "rho=sigma",
+                                tuple(sorted(rho_set | sigma_set)),
+                                "no product is reachable by every row "
+                                "and every column"))
+    return (candidates, min(rho_set, default=None),
+            min(sigma_set, default=None), failures)
+
+
+def ref_verify_square(s, mode, diagonal_mode, cap):
+    """Semi-magic check, plus the diagonals unless diagonal_mode is None."""
+    candidates, rho, sigma, failures = ref_semi_magic(s, mode, cap)
+    mu = min(candidates, default=None)
+    d1 = d2 = None
+    if diagonal_mode is not None:
+        cells = s.arrays[0].cells
+        main = [cells[i][i] for i in range(s.n)]
+        back = [cells[i][s.n - 1 - i] for i in range(s.n)]
+        mu = None
+        if diagonal_mode == "fixed":
+            d1 = word_product(reversed(main), s.l)
+            d2 = word_product(back, s.l)
+            if candidates and d1 == d2 and d1 in candidates:
+                mu = d1
+            elif candidates:
+                failures.append(Failure(
+                    None, "diagonals", (d1, d2),
+                    "main and backward diagonal products differ" if d1 != d2
+                    else "diagonal product is not a common row/column product"))
+        else:
+            both = (achievable_products(main, s.l, cap)
+                    & achievable_products(back, s.l, cap))
+            if candidates & both:
+                mu = d1 = d2 = min(candidates & both)
+            elif candidates:
+                failures.append(Failure(None, "diagonals", tuple(sorted(both)),
+                                        "no common product is reachable by "
+                                        "both diagonals"))
+    witnessed = ProductSpec(rho=mu if mu is not None else rho,
+                            sigma=mu if mu is not None else sigma,
+                            mu=mu, delta1=d1, delta2=d2)
+    return VerificationReport(mode, witnessed, tuple(failures),
+                              validate_cover(s), diagonal_mode=diagonal_mode)
+
+
+def seeded_mutants(s, rng, count=4):
+    """Two cells swapped (even draws) or one copied over another (odd)."""
+    places = [(a, i, j) for a in range(s.k) for i in range(s.m)
+              for j in range(s.n)]
+    out = []
+    for draw in range(count):
+        grid = [[list(row) for row in rect.cells] for rect in s.arrays]
+        (a1, i1, j1), (a2, i2, j2) = rng.sample(places, 2)
+        if draw % 2:
+            grid[a2][i2][j2] = grid[a1][i1][j1]
+        else:
+            grid[a1][i1][j1], grid[a2][i2][j2] = \
+                grid[a2][i2][j2], grid[a1][i1][j1]
+        out.append(RectangleSet(s.l, tuple(Rectangle.from_rows(g)
+                                           for g in grid)))
+    return out
+
+
+def outcome(call, *args):
+    try:
+        report = call(*args)
+    except CapacityError as exc:
+        return "CapacityError", str(exc)
+    return report.to_json_dict(), report.render()
+
+
+class TestMasksAgainstFrozensets:
+    CORPUS = [lmrs_2_2(2), lmrs_2_2(3), lmrs_2_2(5), lmrs_2_2(8),
+              lmrs_2_2(12), lmrs_even(2, 4, 1), lmrs_even(4, 2, 3),
+              lmrs_even(2, 6, 3), lmrs_even(4, 4, 1), lmrs_even(6, 6, 1),
+              lmrs_even(2, 12, 1), lmrs_even(10, 4, 1), lmrs_even(8, 6, 1),
+              lmrs_even(4, 12, 1), lsms(4), ms(4),
+              # fixed diagonals agree but miss the common line products
+              square("r^1*s r^0*s r^0 r^7*s / r^5*s r^1 r^7 r^5 / "
+                     "r^2 r^3*s r^3 r^6 / r^4*s r^6*s r^2*s r^4", 8)]
+
+    def test_reports_and_errors_match(self):
+        rng = random.Random(8)
+        notes = set()
+        for base in self.CORPUS:
+            assert base.l <= 24
+            for s in [base] + seeded_mutants(base, rng):
+                for cap in (4, 8, 12):
+                    calls = [(verify_orderable, (s, cap),
+                              ref_verify_orderable, (s, cap))]
+                    if s.k == 1 and s.m == s.n:
+                        calls += [
+                            (verify_semi_magic_square, (s, mode, cap),
+                             ref_verify_square, (s, mode, None, cap))
+                            for mode in ("linear", "orderable")]
+                        calls += [
+                            (verify_magic_square, (s, mode, diagonals, cap),
+                             ref_verify_square, (s, mode, diagonals, cap))
+                            for mode in ("linear", "orderable")
+                            for diagonals in ("fixed", "orderable")]
+                    for call, args, ref, ref_args in calls:
+                        got = outcome(call, *args)
+                        assert got == outcome(ref, *ref_args), \
+                            (call.__name__, args[1:])
+                        if isinstance(got[0], dict):
+                            notes.update(f["note"] for f in got[0]["failures"])
+                        else:
+                            notes.add(got[0])
+        # every orderable failure and the cap refusals were reached
+        assert {"no common row product remains",
+                "no common column product remains",
+                "no product is reachable by every row and every column",
+                "no common product is reachable by both diagonals",
+                "diagonal product is not a common row/column product",
+                "CapacityError"} <= notes
