@@ -18,6 +18,7 @@ import json
 import warnings
 from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterator, Sequence
 
 from . import dihedral
@@ -39,7 +40,7 @@ class Rectangle:
         if not self.cells or not self.cells[0]:
             raise ValueError("rectangle must have at least one row and column")
         width = len(self.cells[0])
-        if any(len(row) != width for row in self.cells):
+        if any(map(width.__ne__, map(len, self.cells))):
             raise ValueError("rectangle rows must all have the same length")
 
     @property
@@ -72,20 +73,25 @@ class RectangleSet:
         dihedral.check_group_order(self.l)
         if not self.arrays:
             raise ValueError("rectangle set must contain at least one array")
+        l = self.l
         for idx, rect in enumerate(self.arrays):
             if not isinstance(rect, Rectangle):
                 raise ValueError(f"array {idx} is not a Rectangle")
-            # self.m and self.n read array 0, checked on the first pass
-            if rect.m != self.m or rect.n != self.n:
+            if idx == 0:  # self.m and self.n read array 0, checked just now
+                m, n = self.m, self.n
+            elif rect.m != m or rect.n != n:
                 raise ValueError(f"array {idx} has shape {rect.m}x{rect.n}, "
-                                 f"expected {self.m}x{self.n}")
+                                 f"expected {m}x{n}")
             try:
                 for row in rect.cells:
                     for cell in row:
-                        if (not 0 <= cell.exponent < self.l
+                        exp = cell.exponent
+                        # a bool or float exponent would print as r^True
+                        # or r^1.0, which no parser reads back
+                        if (type(exp) is not int or not 0 <= exp < l
                                 or cell.is_reflection not in (False, True)):
                             raise ValueError(
-                                f"cell {cell} is not canonical for l={self.l}")
+                                f"cell {cell} is not canonical for l={l}")
             except AttributeError:
                 # row and cell are the ones that raised; find them by identity
                 # (a plain tuple compares equal to an element)
@@ -107,9 +113,8 @@ class RectangleSet:
         return self.arrays[0].n
 
     def all_cells(self) -> Iterator[DihedralElement]:
-        for rect in self.arrays:
-            for row in rect.cells:
-                yield from row
+        return chain.from_iterable(row for rect in self.arrays
+                                   for row in rect.cells)
 
 
 @dataclass(frozen=True, slots=True)
@@ -194,7 +199,9 @@ def validate_cover(s: RectangleSet) -> CoverReport:
     """
     counts = Counter(s.all_cells())
     cell_count = s.m * s.n * s.k
-    duplicates = tuple(sorted((e, c) for e, c in counts.items() if c > 1))
+    duplicates = ()
+    if len(counts) < cell_count:
+        duplicates = tuple(sorted((e, c) for e, c in counts.items() if c > 1))
     missing = ()
     if cell_count == 2 * s.l and len(counts) < 2 * s.l:
         missing = tuple(e for e in dihedral.elements(s.l) if e not in counts)
@@ -247,8 +254,18 @@ def to_json_dict(s: RectangleSet) -> dict:
 
 
 def serialize(s: RectangleSet) -> str:
-    """Lossless JSON text form of a rectangle set."""
-    return json.dumps(to_json_dict(s), indent=2)
+    """Lossless JSON text form of a rectangle set: the text of
+    json.dumps(to_json_dict(s), indent=2), written directly.  Cells are
+    canonical, so each token is "r^<digits>" or "r^<digits>*s" and needs
+    no escaping."""
+    fmt = dihedral.format_element
+    arrays = ",\n    ".join(
+        "[\n      " + ",\n      ".join(
+            '[\n        "' + '",\n        "'.join(map(fmt, row)) + '"\n      ]'
+            for row in rect.cells) + "\n    ]"
+        for rect in s.arrays)
+    return (f'{{\n  "l": {s.l},\n  "m": {s.m},\n  "n": {s.n},\n  "k": {s.k},'
+            f'\n  "arrays": [\n    {arrays}\n  ]\n}}')
 
 
 def _expect_int(doc: dict, key: str) -> int:
@@ -268,9 +285,6 @@ def from_json_dict(doc: dict) -> RectangleSet:
     arrays_doc = doc.get("arrays")
     if not isinstance(arrays_doc, list) or len(arrays_doc) != k:
         raise SchemaError(f"'arrays' must be a list of {k} arrays")
-    # l is checked once, by parse_element on the first token (after the
-    # shape errors that come before it); later tokens skip the check
-    parse = dihedral.parse_element
     arrays = []
     for a, rows_doc in enumerate(arrays_doc):
         if not isinstance(rows_doc, list) or len(rows_doc) != m:
@@ -280,20 +294,30 @@ def from_json_dict(doc: dict) -> RectangleSet:
             if not isinstance(row_doc, list) or len(row_doc) != n:
                 raise SchemaError(f"array {a + 1}, row {i + 1}: "
                                   f"expected {n} cells")
-            row = []
-            for j, token in enumerate(row_doc):
-                if not isinstance(token, str):
-                    raise SchemaError(f"array {a + 1}, row {i + 1}, column "
-                                      f"{j + 1}: cell must be a string token")
-                try:
-                    row.append(parse(token, l))
-                except ParseError as exc:
-                    raise ParseError(f"array {a + 1}, row {i + 1}, column "
-                                     f"{j + 1}: {exc}") from None
-                parse = dihedral._parse_token
-            rows.append(row)
-        arrays.append(Rectangle.from_rows(rows))
+            if a == i == 0 and row_doc and isinstance(row_doc[0], str):
+                # l is checked once, at the first token: after the shape
+                # errors and the non-string first cell that come before it
+                dihedral.check_group_order(l)
+            rows.append(dihedral._parse_canonical_row(row_doc, l)
+                        or _parse_tokens(row_doc, l, a, i))
+        arrays.append(Rectangle(tuple(rows)))
     return RectangleSet(l, tuple(arrays))
+
+
+def _parse_tokens(row_doc: list, l: int, a: int, i: int) -> tuple:
+    """Row i of array a token by token, raising the first bad cell's
+    error with its location (1-based in the messages)."""
+    row = []
+    for j, token in enumerate(row_doc):
+        if not isinstance(token, str):
+            raise SchemaError(f"array {a + 1}, row {i + 1}, column "
+                              f"{j + 1}: cell must be a string token")
+        try:
+            row.append(dihedral._parse_token(token, l))
+        except ParseError as exc:
+            raise ParseError(f"array {a + 1}, row {i + 1}, column "
+                             f"{j + 1}: {exc}") from None
+    return tuple(row)
 
 
 def deserialize(text: str) -> RectangleSet:
@@ -319,11 +343,10 @@ def render_text(s: RectangleSet) -> str:
     separated by a blank line."""
     blocks = []
     for rect in s.arrays:
-        widths = [max(len(dihedral.format_element(rect.cells[i][j]))
-                      for i in range(rect.m))
-                  for j in range(rect.n)]
-        lines = [" ".join(dihedral.format_element(cell).ljust(widths[j])
-                          for j, cell in enumerate(row)).rstrip()
-                 for row in rect.cells]
+        tokens = [list(map(dihedral.format_element, row))
+                  for row in rect.cells]
+        widths = [max(map(len, column)) for column in zip(*tokens)]
+        lines = [" ".join(map(str.ljust, row, widths)).rstrip()
+                 for row in tokens]
         blocks.append("\n".join(lines))
     return "\n\n".join(blocks)

@@ -17,6 +17,8 @@ same relations (handy for small brute-force work).
 from __future__ import annotations
 
 import re
+from functools import partial
+from itertools import repeat
 from typing import Iterable, NamedTuple
 
 from .errors import ParseError
@@ -26,6 +28,8 @@ from .errors import ParseError
 MAX_GROUP_ORDER = 10**7
 
 _TOKEN_RE = re.compile(r"^r\^(-?\d+)(\*s)?$")
+# A row of canonical tokens (ASCII digits, no sign) joined by commas
+_CANONICAL_ROW_RE = re.compile(r"r\^[0-9]+(?:\*s)?(?:,r\^[0-9]+(?:\*s)?)*")
 _ALIASES = {"e": (False, 0), "r": (False, 1), "s": (True, 0), "rs": (True, 1)}
 
 
@@ -55,6 +59,11 @@ class DihedralElement(NamedTuple):
 
     def __str__(self) -> str:
         return format_element(self)
+
+
+# DihedralElement((flag, exponent)) without the named tuple's __new__,
+# which is a Python function: one C call per element
+_new_element = partial(tuple.__new__, DihedralElement)
 
 
 def identity(l: int) -> DihedralElement:
@@ -144,6 +153,32 @@ def _parse_token(token: str, l: int) -> DihedralElement:
     except ValueError:  # more digits than int() accepts
         raise ParseError(f"exponent too long in token {token!r}") from None
     return DihedralElement(m.group(2) is not None, exponent % l)
+
+
+def _parse_canonical_row(tokens: list, l: int) -> tuple | None:
+    """_parse_token over a row whose tokens are all "r^<digits>" or
+    "r^<digits>*s", in C-level passes; None for any other row, which the
+    caller parses token by token.  l must be checked already.
+
+    The joined row matches the pattern only as c tokens with c - 1 commas
+    between them, so c == len(tokens) means no token holds a comma and
+    the j-th digit run is token j's exponent.
+    """
+    try:
+        joined = ",".join(tokens)
+    except TypeError:  # a cell that is not a string
+        return None
+    if _CANONICAL_ROW_RE.fullmatch(joined) is None:
+        return None
+    digits = joined.replace("*s", "")[2:].split(",r^")
+    if len(digits) != len(tokens):
+        return None
+    flags = map(str.endswith, tokens, repeat("s"))
+    try:
+        return tuple(map(_new_element,
+                         zip(flags, map(l.__rmod__, map(int, digits)))))
+    except ValueError:  # more digits than int() accepts
+        return None
 
 
 def format_element(a: DihedralElement) -> str:

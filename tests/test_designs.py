@@ -1,18 +1,20 @@
 """Rectangle sets: cover validation, concatenation, serialization."""
 
 import json
+import re
 import time
 
 import pytest
 
-from dihedral_magic import designs
-from dihedral_magic.construct import lemma_block, lmrs_2_2, lmrs_even
+from dihedral_magic import designs, dihedral
+from dihedral_magic.construct import lemma_block, lmrs_2_2, lmrs_even, lsms, ms
 from dihedral_magic.designs import (CoverViolationWarning, Rectangle,
                                     RectangleSet, concat_horizontal,
                                     concat_vertical, deserialize, render_text,
                                     serialize, validate_cover)
-from dihedral_magic.dihedral import (elements, identity, parse_element, power,
-                                     reflection, rotation, word_product)
+from dihedral_magic.dihedral import (DihedralElement, elements, identity,
+                                     parse_element, power, reflection,
+                                     rotation, word_product)
 from dihedral_magic.errors import CoverError, ParseError, SchemaError
 
 
@@ -63,6 +65,17 @@ class TestModel:
         with pytest.raises(ValueError, match=r"array 1, row 1, column 1: "
                                              r"\(True, 1\) is not"):
             RectangleSet(2, (square_over(2).arrays[0], plain))
+
+    @pytest.mark.parametrize("exponent, shown", [
+        (True, "r^True*s"), (False, "r^False*s"), (1.0, "r^1.0*s"),
+        ("1", "r^1*s")])
+    def test_exponents_that_are_not_ints_rejected(self, exponent, shown):
+        # such a cell would serialize as a token no parser reads back
+        from dihedral_magic.dihedral import DihedralElement
+        bad = DihedralElement(True, exponent)
+        with pytest.raises(ValueError, match=rf"^cell {re.escape(shown)} is "
+                                             r"not canonical for l=2$"):
+            RectangleSet(2, (Rectangle(((rotation(0, 2), bad),)),))
 
     def test_arrays_that_are_not_rectangles_rejected(self):
         e = elements(2)
@@ -183,6 +196,19 @@ class TestSerialization:
         for s in (lsms(4), lsms(8), ms(4), ms(8)):
             assert deserialize(serialize(s)) == s
 
+    @pytest.mark.parametrize("s", [
+        lmrs_2_2(2), lmrs_2_2(7), lmrs_even(4, 6, 3), lsms(8), lsms(12),
+        ms(4), ms(8),
+        RectangleSet(3, (Rectangle(((reflection(2, 3),),)),)),
+        RectangleSet(1, (Rectangle(((rotation(0, 1),),)),
+                         Rectangle(((reflection(0, 1),),)))),
+        RectangleSet(3, (Rectangle((tuple(elements(3)),)),)),
+        RectangleSet(3, (Rectangle(tuple((e,) for e in elements(3))),)),
+        concat_horizontal(lmrs_even(2, 4, 3))],
+        ids=lambda s: f"{s.m}x{s.n}x{s.k}-l{s.l}")
+    def test_serialize_is_the_indented_json_text(self, s):
+        assert serialize(s) == json.dumps(designs.to_json_dict(s), indent=2)
+
     def test_schema_fields(self):
         doc = json.loads(serialize(lmrs_2_2(2)))
         assert doc["l"] == 4 and doc["m"] == 2 and doc["n"] == 2 and doc["k"] == 2
@@ -276,6 +302,66 @@ class TestSerialization:
         assert s.arrays[0].cells[0] == (rotation(3, 4), reflection(1, 4))
 
 
+# Tokens for the row path: canonical ones it reads, and ones it leaves to
+# the per-token path (aliases, padding, signs, Unicode digits, commas,
+# non-strings, an exponent longer than int() accepts)
+TOKEN_CORPUS = [
+    "r^0", "r^3", "r^3*s", "r^12", "r^007", "r^007*s", "r^-3", "r^-3*s",
+    "e", "r", "s", "rs", " r^1", "r^1*s ", "\tr^2\n", "r^\u0663",
+    "r^\u0663*s", "r^1,r^2", "r^1,", ",r^1", "e,e", "", "r^", "r^*s",
+    "r^1*s*s", "R^1", "r^1 *s", "r^" + "1" * 40, 0, 1.5, None, True,
+    "r^" + "7" * 5000]
+
+
+class TestRowParsing:
+    L = 8
+
+    def per_token(self, row):
+        """The row as parse_element reads it token by token: the elements,
+        or the exception deserialize must raise for the first bad cell."""
+        cells = []
+        for j, token in enumerate(row):
+            where = f"array 1, row 1, column {j + 1}: "
+            if not isinstance(token, str):
+                return SchemaError(where + "cell must be a string token")
+            try:
+                cells.append(parse_element(token, self.L))
+            except ParseError as exc:
+                return ParseError(where + str(exc))
+        return tuple(cells)
+
+    def rows(self):
+        for token in TOKEN_CORPUS:
+            yield [token] * 3
+            for j in range(3):
+                row = ["r^1", "r^2*s", "r^5"]
+                row[j] = token
+                yield row
+
+    def test_deserialize_matches_the_per_token_path(self):
+        for row in self.rows():
+            expected = self.per_token(row)
+            doc = {"l": self.L, "m": 1, "n": 3, "k": 1, "arrays": [[row]]}
+            if isinstance(expected, Exception):
+                with pytest.raises(type(expected)) as err:
+                    from_doc_ignoring_cover(doc)
+                assert str(err.value) == str(expected), row
+                continue
+            cells = from_doc_ignoring_cover(doc).arrays[0].cells[0]
+            assert cells == expected, row
+            assert all(type(c) is DihedralElement and type(c.exponent) is int
+                       and type(c.is_reflection) is bool for c in cells)
+
+    def test_row_path_reads_canonical_rows_only(self):
+        canonical = re.compile(r"r\^[0-9]+(\*s)?")
+        for row in self.rows():
+            expected = self.per_token(row)
+            if (isinstance(expected, Exception) or not all(
+                    isinstance(t, str) and canonical.fullmatch(t) for t in row)):
+                expected = None
+            assert dihedral._parse_canonical_row(row, self.L) == expected, row
+
+
 def from_doc_ignoring_cover(doc):
     import warnings
     with warnings.catch_warnings():
@@ -292,3 +378,15 @@ class TestRender:
     def test_arrays_separated_by_blank_line(self):
         text = render_text(lmrs_2_2(2))
         assert text.count("\n\n") == 1
+
+    def test_columns_padded_to_their_widest_token(self):
+        r, f = (lambda i: rotation(i, 12)), (lambda i: reflection(i, 12))
+        s = RectangleSet(12, (Rectangle(((f(10), r(1), f(3)),
+                                         (r(0), r(11), r(2)))),
+                              Rectangle(((r(4), f(0), r(5)),
+                                         (f(11), r(6), f(1))))))
+        assert render_text(s) == ("r^10*s r^1  r^3*s\n"
+                                  "r^0    r^11 r^2\n"
+                                  "\n"
+                                  "r^4    r^0*s r^5\n"
+                                  "r^11*s r^6   r^1*s")
