@@ -11,12 +11,11 @@ import argparse
 import functools
 import json
 import sys
-import warnings
 
 from . import construct, designs, feasibility, search, verify
-from .designs import CoverViolationWarning, RectangleSet
+from .designs import CoverReport, RectangleSet
 from .errors import (BudgetExceededError, CapacityError, CoverError,
-                     PlanCollisionError)
+                     PlanCollisionError, ShapeError)
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -92,14 +91,21 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_set(path: str) -> RectangleSet:
+def _read_set(path: str) -> RectangleSet:
+    """The set in the file, with no cover check."""
     with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always", CoverViolationWarning)
-        s = designs.deserialize(text)
-    for w in caught:
-        print(f"note: cover violation in {path}: {w.message}", file=sys.stderr)
+        return designs._from_text(fh.read())
+
+
+def _note_cover(path: str, report: CoverReport) -> None:
+    if not report.ok:
+        print(f"note: cover violation in {path}: {report.summary()}",
+              file=sys.stderr)
+
+
+def _load_set(path: str) -> RectangleSet:
+    s = _read_set(path)
+    _note_cover(path, designs.validate_cover(s))
     return s
 
 
@@ -138,18 +144,25 @@ def _cmd_construct(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    s = _load_set(args.infile)
-    if args.magic:
-        report = verify.verify_magic_square(s, mode=args.mode,
-                                            diagonal_mode=args.diag,
-                                            cap=args.cap)
-    elif args.square:
-        report = verify.verify_semi_magic_square(s, mode=args.mode,
-                                                 cap=args.cap)
-    elif args.mode == "linear":
-        report = verify.verify_linear(s)
-    else:
-        report = verify.verify_orderable(s, cap=args.cap)
+    # the report carries the cover; it is counted here only when the
+    # verifier refuses the set, so the note still comes before the error
+    s = _read_set(args.infile)
+    try:
+        if args.magic:
+            report = verify.verify_magic_square(s, mode=args.mode,
+                                                diagonal_mode=args.diag,
+                                                cap=args.cap)
+        elif args.square:
+            report = verify.verify_semi_magic_square(s, mode=args.mode,
+                                                     cap=args.cap)
+        elif args.mode == "linear":
+            report = verify.verify_linear(s)
+        else:
+            report = verify.verify_orderable(s, cap=args.cap)
+    except (ShapeError, CapacityError):
+        _note_cover(args.infile, designs.validate_cover(s))
+        raise
+    _note_cover(args.infile, report.cover)
     print(json.dumps(report.to_json_dict(), indent=2) if args.json
           else report.render())
     return EXIT_PASS if report.passed else EXIT_FAIL

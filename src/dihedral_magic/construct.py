@@ -19,6 +19,7 @@ sense.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 
 from . import dihedral
 from .designs import Rectangle, RectangleSet
@@ -26,28 +27,42 @@ from .dihedral import DihedralElement
 from .errors import PlanCollisionError
 
 
-def _tile(assignment, block_for) -> Rectangle:
-    """Concatenate a grid of 2x2 blocks, given by index, into one rectangle;
-    block_for(p) gives the cells of block p as two rows."""
-    rows: list[tuple[DihedralElement, ...]] = []
-    for block_row in assignment:
-        blocks = [block_for(p) for p in block_row]
-        rows += [tuple(x for b in blocks for x in b[r]) for r in (0, 1)]
-    return Rectangle(tuple(rows))
+def _block_rows(blocks: int, odd, reflect: bool):
+    """Rows 1 and 2 of the 2x2 blocks p = 0..blocks-1 laid end to end over
+    D_(2*blocks), each row a tuple of 2*blocks cells.  Block p is
+
+        r^odd[p]      r^(-2p)*s
+        r^odd[p]*s    r^(2p)
+
+    with reflect=False; reflect=True moves each row's s to its other cell.
+    Block p sits in columns 2p and 2p + 1, so a run of consecutive blocks
+    is a slice of both rows.  All cells are made in one pass.
+    """
+    width = 2 * blocks
+    exponents = [0] * (2 * width)
+    exponents[0:width:2] = exponents[width::2] = odd
+    exponents[3:width:2] = range(width - 2, 0, -2)  # -2p for p >= 1
+    exponents[width + 1::2] = range(0, width, 2)
+    flags = ((reflect, not reflect) * blocks
+             + (not reflect, reflect) * blocks)
+    cells = tuple(map(dihedral._new_element, zip(flags, exponents)))
+    return cells[:width], cells[width:]
 
 
-def _lemma_cells(p: int, modulus: int):
-    return ((DihedralElement(False, (2 * p + 1) % modulus),
-             DihedralElement(True, -2 * p % modulus)),
-            (DihedralElement(True, (2 * p + 1) % modulus),
-             DihedralElement(False, 2 * p % modulus)))
+def _lemma_rows(blocks: int):
+    """Rows 1 and 2 of M^0, M^1, ..., M^(blocks-1) over D_(2*blocks)."""
+    return _block_rows(blocks, range(1, 2 * blocks, 2), False)
 
 
 def lemma_block(p: int, l: int) -> Rectangle:
     """The 2x2 block M^p over D_2l (exponents reduced mod 2l)."""
     if not 0 <= p < l:
         raise ValueError(f"block index {p} out of range [0, {l})")
-    return Rectangle(_lemma_cells(p, dihedral.check_group_order(2 * l)))
+    modulus = dihedral.check_group_order(2 * l)
+    return Rectangle(((DihedralElement(False, (2 * p + 1) % modulus),
+                       DihedralElement(True, -2 * p % modulus)),
+                      (DihedralElement(True, (2 * p + 1) % modulus),
+                       DihedralElement(False, 2 * p % modulus))))
 
 
 def lmrs_2_2(l: int) -> RectangleSet:
@@ -75,13 +90,12 @@ def lmrs_even(m: int, n: int, k: int) -> RectangleSet:
         raise ValueError("m*n*k must exceed 4 (the block family needs at "
                          "least two blocks)")
     modulus = dihedral.check_group_order(2 * blocks)
-    m2, n2, per = m // 2, n // 2, (m // 2) * (n // 2)
-    arrays = []
-    for u in range(k):
-        assignment = [[u * per + bi * n2 + bj for bj in range(n2)]
-                      for bi in range(m2)]
-        arrays.append(_tile(assignment, lambda p: _lemma_cells(p, modulus)))
-    return RectangleSet(modulus, tuple(arrays))
+    top, bottom = _lemma_rows(blocks)
+    rows = []
+    for start in range(0, 2 * blocks, n):
+        rows += [top[start:start + n], bottom[start:start + n]]
+    return RectangleSet(modulus, tuple(Rectangle(tuple(rows[i:i + m]))
+                                       for i in range(0, m * k, m)))
 
 
 @dataclass(frozen=True, slots=True)
@@ -185,6 +199,7 @@ def lsms(n: int, repair_plan: bool = True) -> RectangleSet:
     side = 4 * k
     blocks = n * n // 4
     modulus = dihedral.check_group_order(2 * blocks)
+    top, bottom = _lemma_rows(blocks)
     assignment = [[-1] * side for _ in range(side)]
     for g, (a, b) in enumerate(zip(plan.main, plan.back)):
         assignment[g][g] = a
@@ -194,16 +209,12 @@ def lsms(n: int, repair_plan: bool = True) -> RectangleSet:
         for bj in range(side):
             if assignment[bi][bj] < 0:
                 assignment[bi][bj] = next(rest)
-    rect = _tile(assignment, lambda p: _lemma_cells(p, modulus))
-    return RectangleSet(modulus, (rect,))
-
-
-def _ms_cells(p: int, l: int):
-    low = ((DihedralElement(True, (2 * p - 1) % l),
-            DihedralElement(False, -2 * p % l)),
-           (DihedralElement(False, (2 * p - 1) % l),
-            DihedralElement(True, 2 * p % l)))
-    return low if p < l // 4 else low[::-1]
+    rows = []
+    for block_row in assignment:
+        block_cells = itemgetter(*[c for p in block_row
+                                   for c in (2 * p, 2 * p + 1)])
+        rows += [block_cells(top), block_cells(bottom)]
+    return RectangleSet(modulus, (Rectangle(tuple(rows)),))
 
 
 def ms_block(p: int, l: int) -> Rectangle:
@@ -222,7 +233,12 @@ def ms_block(p: int, l: int) -> Rectangle:
         raise ValueError(f"ambient modulus must be divisible by 4, got {l}")
     if not 0 <= p < l // 2:
         raise ValueError(f"block index {p} out of range [0, {l // 2})")
-    return Rectangle(_ms_cells(p, dihedral.check_group_order(l)))
+    dihedral.check_group_order(l)
+    low = ((DihedralElement(True, (2 * p - 1) % l),
+            DihedralElement(False, -2 * p % l)),
+           (DihedralElement(False, (2 * p - 1) % l),
+            DihedralElement(True, 2 * p % l)))
+    return Rectangle(low if p < l // 4 else low[::-1])
 
 
 def ms(n: int) -> RectangleSet:
@@ -238,8 +254,12 @@ def ms(n: int) -> RectangleSet:
         raise ValueError(f"side must be >= 4 and divisible by 4, got {n}")
     k = n // 4
     modulus = dihedral.check_group_order(8 * k * k)
-    side = 2 * k
-    assignment = [[br * side + bc for bc in range(side)]
-                  for br in range(side)]
-    return RectangleSet(modulus,
-                        (_tile(assignment, lambda p: _ms_cells(p, modulus)),))
+    blocks = modulus // 2
+    # (2p - 1) mod l for p = 0..l/2-1
+    top, bottom = _block_rows(blocks, [modulus - 1, *range(1, modulus - 2, 2)],
+                              True)
+    rows = []
+    for start in range(0, 2 * blocks, n):
+        pair = [top[start:start + n], bottom[start:start + n]]
+        rows += pair if start < blocks else pair[::-1]  # the high half
+    return RectangleSet(modulus, (Rectangle(tuple(rows)),))

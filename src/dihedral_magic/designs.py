@@ -18,7 +18,7 @@ import json
 import warnings
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, repeat
 from typing import Iterator, Sequence
 
 from . import dihedral
@@ -194,11 +194,13 @@ def validate_cover(s: RectangleSet) -> CoverReport:
     missing elements; nothing is raised, so defective candidates can be
     diagnosed.  The work is proportional to the cell count: on a size
     mismatch the missing elements are counted, not listed.  Every cell is
-    canonical, so 2l distinct cells are the whole group and need no
-    listing pass.
+    canonical, so 2l distinct cells are the whole group: one set shows
+    that, and only a defective set is counted.
     """
-    counts = Counter(s.all_cells())
     cell_count = s.m * s.n * s.k
+    if cell_count == 2 * s.l and len(set(s.all_cells())) == cell_count:
+        return CoverReport(cell_count, cell_count)
+    counts = Counter(s.all_cells())
     duplicates = ()
     if len(counts) < cell_count:
         duplicates = tuple(sorted((e, c) for e, c in counts.items() if c > 1))
@@ -285,6 +287,11 @@ def from_json_dict(doc: dict) -> RectangleSet:
     arrays_doc = doc.get("arrays")
     if not isinstance(arrays_doc, list) or len(arrays_doc) != k:
         raise SchemaError(f"'arrays' must be a list of {k} arrays")
+    cells = _canonical_cells(arrays_doc, l, m, n)
+    if cells is not None:
+        rows = [cells[j:j + n] for j in range(0, len(cells), n)]
+        return RectangleSet(l, tuple(Rectangle(tuple(rows[i:i + m]))
+                                     for i in range(0, m * k, m)))
     arrays = []
     for a, rows_doc in enumerate(arrays_doc):
         if not isinstance(rows_doc, list) or len(rows_doc) != m:
@@ -298,10 +305,31 @@ def from_json_dict(doc: dict) -> RectangleSet:
                 # l is checked once, at the first token: after the shape
                 # errors and the non-string first cell that come before it
                 dihedral.check_group_order(l)
-            rows.append(dihedral._parse_canonical_row(row_doc, l)
-                        or _parse_tokens(row_doc, l, a, i))
+            rows.append(_parse_tokens(row_doc, l, a, i))
         arrays.append(Rectangle(tuple(rows)))
     return RectangleSet(l, tuple(arrays))
+
+
+def _canonical_cells(arrays_doc: list, l: int, m: int, n: int) -> tuple | None:
+    """All cells of a document of k lists of m rows of n canonical tokens,
+    row-major, read in C-level passes; None for any other document, which
+    the caller reads row by row for its errors.
+
+    l is checked here where the row-by-row reading checks it: once the
+    shape holds, at the first token, if that is a string.
+    """
+    if not (all(map(isinstance, arrays_doc, repeat(list)))
+            and all(map(m.__eq__, map(len, arrays_doc)))):
+        return None
+    rows = list(chain.from_iterable(arrays_doc))
+    if not (all(map(isinstance, rows, repeat(list)))
+            and all(map(n.__eq__, map(len, rows)))):
+        return None
+    tokens = list(chain.from_iterable(rows))
+    if not tokens or not isinstance(tokens[0], str):
+        return None
+    dihedral.check_group_order(l)
+    return dihedral._parse_canonical_row(tokens, l)
 
 
 def _parse_tokens(row_doc: list, l: int, a: int, i: int) -> tuple:
@@ -323,6 +351,15 @@ def _parse_tokens(row_doc: list, l: int, a: int, i: int) -> tuple:
 def deserialize(text: str) -> RectangleSet:
     """Parse the JSON form; cover violations are reported as a
     CoverViolationWarning but the set is still returned."""
+    s = _from_text(text)
+    report = validate_cover(s)
+    if not report.ok:
+        warnings.warn(CoverViolationWarning(report.summary()), stacklevel=2)
+    return s
+
+
+def _from_text(text: str) -> RectangleSet:
+    """deserialize without the cover check."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -331,11 +368,7 @@ def deserialize(text: str) -> RectangleSet:
         raise SchemaError("invalid JSON: integer literal too long") from None
     except RecursionError:
         raise SchemaError("invalid JSON: nested too deeply") from None
-    s = from_json_dict(doc)
-    report = validate_cover(s)
-    if not report.ok:
-        warnings.warn(CoverViolationWarning(report.summary()), stacklevel=2)
-    return s
+    return from_json_dict(doc)
 
 
 def render_text(s: RectangleSet) -> str:

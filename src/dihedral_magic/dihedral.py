@@ -158,7 +158,8 @@ def _parse_token(token: str, l: int) -> DihedralElement:
 def _parse_canonical_row(tokens: list, l: int) -> tuple | None:
     """_parse_token over a row whose tokens are all "r^<digits>" or
     "r^<digits>*s", in C-level passes; None for any other row, which the
-    caller parses token by token.  l must be checked already.
+    caller parses token by token.  l must be checked already.  A whole
+    document's tokens, row after row, are one row here.
 
     The joined row matches the pattern only as c tokens with c - 1 commas
     between them, so c == len(tokens) means no token holds a comma and

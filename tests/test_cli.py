@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from dihedral_magic import cli, designs
+from dihedral_magic import cli, designs, verify
 from dihedral_magic.construct import lmrs_2_2
 
 
@@ -102,6 +102,39 @@ class TestVerifyPipeline:
                                  "--in", str(path))
         assert "cover violation" in err
         assert "duplicated" in out
+
+    @pytest.mark.parametrize("flags, code, error", [
+        ((), 1, ""),
+        (("--json",), 1, ""),
+        (("--square",), 2, "error: square verification requires k=1, "
+                           "got k=2\n"),
+        (("--mode", "orderable", "--cap", "1"), 3,
+         "error: orderable verification of lines up to length 2 exceeds "
+         "cap 1; raise the cap or use linear mode\n")])
+    def test_cover_counted_once_and_noted_first(self, tmp_path, capsys,
+                                                monkeypatch, flags, code,
+                                                error):
+        # the note comes from the report's cover; when the verifier
+        # refuses the set, it is still printed before the error
+        doc = json.loads(designs.serialize(lmrs_2_2(2)))
+        doc["arrays"][0][0][0] = doc["arrays"][1][1][1]
+        path = tmp_path / "dup.json"
+        path.write_text(json.dumps(doc))
+        summary = designs.validate_cover(
+            designs.from_json_dict(doc)).summary()
+        calls = []
+        counted = designs.validate_cover
+
+        def counting(s):
+            calls.append(s)
+            return counted(s)
+        monkeypatch.setattr(designs, "validate_cover", counting)
+        monkeypatch.setattr(verify, "validate_cover", counting)
+        got, _, err = run_cli(capsys, "verify", *flags, "--in", str(path))
+        assert got == code
+        assert err == (f"note: cover violation in {path}: {summary}\n"
+                       + error)
+        assert len(calls) == 1
 
     def test_missing_file(self, capsys):
         code, _, err = run_cli(capsys, "verify", "--mode", "linear",

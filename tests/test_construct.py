@@ -339,6 +339,58 @@ class TestEveryConstructorCovers:
         assert validate_cover(s).ok
 
 
+def blocks_of(rect):
+    """The 2x2 blocks of a rectangle, block rows top to bottom, each
+    left to right."""
+    return [tuple(row[j:j + 2] for row in rect.cells[i:i + 2])
+            for i in range(0, rect.m, 2) for j in range(0, rect.n, 2)]
+
+
+class TestFlatConstructionsMatchTheBlocks:
+    """The constructions cut their rows out of one pass over all cells;
+    each 2x2 block must still be the published block at its index."""
+
+    def test_lmrs_even(self):
+        # block p of the docstring: array u, block row bi, block column bj
+        # hold p = u*(m/2)*(n/2) + bi*(n/2) + bj, so the blocks in order
+        for m in range(2, 13, 2):
+            for n in range(2, 13, 2):
+                for k in range(1, 480 // (m * n) + 1):
+                    if m * n * k <= 4:
+                        continue
+                    s = lmrs_even(m, n, k)
+                    got = [b for rect in s.arrays for b in blocks_of(rect)]
+                    assert got == [lemma_block(p, s.l // 2).cells
+                                   for p in range(s.l // 2)], (m, n, k)
+
+    @pytest.mark.parametrize("repair", [True, False])
+    def test_lsms(self, repair):
+        for n in range(4, 65, 4):
+            if n % 8 == 4:  # the plain tiling: blocks row-major
+                order = list(range(n * n // 4))
+            elif not repair and n >= 16:
+                continue  # the closed-form plan collides (TestLsms)
+            else:
+                plan = diagonal_plan(n // 8, repair=True)
+                side = n // 2
+                grid = [[None] * side for _ in range(side)]
+                for g, (a, b) in enumerate(zip(plan.main, plan.back)):
+                    grid[g][g], grid[g][side - 1 - g] = a, b
+                rest = iter(sorted(set(range(side * side)) - set(plan.main)
+                                   - set(plan.back)))
+                order = [next(rest) if p is None else p
+                         for row in grid for p in row]
+            s = lsms(n, repair_plan=repair)
+            assert blocks_of(s.arrays[0]) == [
+                lemma_block(p, s.l // 2).cells for p in order], n
+
+    def test_ms(self):
+        for n in range(4, 33, 4):
+            s = ms(n)
+            assert blocks_of(s.arrays[0]) == [
+                ms_block(p, s.l).cells for p in range(s.l // 2)], n
+
+
 class TestGroupOrderCheck:
     @pytest.mark.parametrize("build", [
         lambda: lmrs_even(2, 2, 10**7), lambda: lsms(4480),

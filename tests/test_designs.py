@@ -1,17 +1,20 @@
 """Rectangle sets: cover validation, concatenation, serialization."""
 
 import json
+import random
 import re
 import time
+from collections import Counter
 
 import pytest
 
 from dihedral_magic import designs, dihedral
 from dihedral_magic.construct import lemma_block, lmrs_2_2, lmrs_even, lsms, ms
-from dihedral_magic.designs import (CoverViolationWarning, Rectangle,
-                                    RectangleSet, concat_horizontal,
-                                    concat_vertical, deserialize, render_text,
-                                    serialize, validate_cover)
+from dihedral_magic.designs import (CoverReport, CoverViolationWarning,
+                                    Rectangle, RectangleSet,
+                                    concat_horizontal, concat_vertical,
+                                    deserialize, render_text, serialize,
+                                    validate_cover)
 from dihedral_magic.dihedral import (DihedralElement, elements, identity,
                                      parse_element, power, reflection,
                                      rotation, word_product)
@@ -86,7 +89,39 @@ class TestModel:
             RectangleSet(2, (square_over(2).arrays[0], grid))
 
 
+def counted_cover(s):
+    """validate_cover's report, from a Counter over every cell."""
+    counts = Counter(c for rect in s.arrays for row in rect.cells for c in row)
+    cell_count = sum(counts.values())
+    missing = ()
+    if cell_count == 2 * s.l:
+        missing = tuple(e for e in elements(s.l) if e not in counts)
+    return CoverReport(cell_count, 2 * s.l,
+                       tuple(sorted((e, c) for e, c in counts.items()
+                                    if c > 1)),
+                       missing, 2 * s.l - len(counts))
+
+
+def mutated(s, rng, mark):
+    """s with two cells in different places swapped, or one copied over
+    the other."""
+    cells = [[list(row) for row in rect.cells] for rect in s.arrays]
+    places = [(a, i, j) for a in range(s.k) for i in range(s.m)
+              for j in range(s.n)]
+    (a1, i1, j1), (a2, i2, j2) = rng.sample(places, 2)
+    if mark == "swap":
+        cells[a1][i1][j1], cells[a2][i2][j2] = \
+            cells[a2][i2][j2], cells[a1][i1][j1]
+    else:
+        cells[a2][i2][j2] = cells[a1][i1][j1]
+    return RectangleSet(s.l, tuple(Rectangle.from_rows(rows)
+                                   for rows in cells))
+
+
 class TestCover:
+    BUILT = [lmrs_2_2(2), lmrs_2_2(7), lmrs_even(4, 6, 3), lmrs_even(2, 2, 50),
+             lsms(4), lsms(8), lsms(12), ms(4), ms(8)]
+
     def test_lmrs_cover_ok(self):
         report = validate_cover(lmrs_2_2(4))
         assert report.ok
@@ -131,6 +166,47 @@ class TestCover:
         assert set(report.missing) == set(elements(4)) - {
             c for rect in cells for row in rect for c in row}
         assert report.to_json_dict()["missing_count"] == 2
+
+    def test_constructed_and_mutated_sets(self):
+        rng = random.Random(20)
+        for s in self.BUILT:
+            candidates = [s] + [mutated(s, rng, mark) for mark in
+                                ("swap", "swap", "dup", "dup", "dup")]
+            twice = mutated(mutated(s, rng, "dup"), rng, "dup")
+            candidates.append(twice)
+            for t in candidates:
+                assert validate_cover(t) == counted_cover(t)
+
+    def test_shape_mismatches(self):
+        for s in self.BUILT:
+            for arrays in (s.arrays[:-1], s.arrays + s.arrays[:1]):
+                if arrays:
+                    t = RectangleSet(s.l, arrays)
+                    assert validate_cover(t) == counted_cover(t)
+            t = RectangleSet(2 * s.l, s.arrays)  # the cells of half a group
+            assert validate_cover(t) == counted_cover(t)
+
+    def test_oversized_documents(self):
+        rng = random.Random(21)
+        for _ in range(40):
+            l = rng.randint(2000, 20000)
+            a = rng.randrange(2 * l)
+            b = rng.choice([a, rng.randrange(2 * l)])
+            cells = [str(dihedral.element_from_index(x, l)) for x in (a, b)]
+            s = from_doc_ignoring_cover({"l": l, "m": 1, "n": 2, "k": 1,
+                                         "arrays": [[cells]]})
+            assert validate_cover(s) == counted_cover(s)
+
+    def test_oversized_cost_follows_the_cell_count(self):
+        # 2 cells declaring the largest group: listing its 2*10^7 absent
+        # elements would take seconds
+        l = dihedral.MAX_GROUP_ORDER
+        s = RectangleSet(l, (Rectangle(((rotation(3, l), rotation(3, l)),)),))
+        start = time.perf_counter()
+        report = validate_cover(s)
+        assert time.perf_counter() - start < 0.1
+        assert report == CoverReport(2, 2 * l, ((rotation(3, l), 2),), (),
+                                     2 * l - 1)
 
 
 class TestConcat:
@@ -351,6 +427,93 @@ class TestRowParsing:
             assert cells == expected, row
             assert all(type(c) is DihedralElement and type(c.exponent) is int
                        and type(c.is_reflection) is bool for c in cells)
+
+    def per_token_document(self, doc):
+        """The document as parse_element reads it cell by cell, after the
+        shape checks of each array and row: the set, or the exception
+        deserialize must raise first.  parse_element checks l at every
+        token, so l is at fault from the first string token on."""
+        l, m, n = doc["l"], doc["m"], doc["n"]
+        arrays = []
+        for a, rows_doc in enumerate(doc["arrays"]):
+            if not isinstance(rows_doc, list) or len(rows_doc) != m:
+                return SchemaError(f"array {a + 1}: expected {m} rows")
+            rows = []
+            for i, row in enumerate(rows_doc):
+                if not isinstance(row, list) or len(row) != n:
+                    return SchemaError(f"array {a + 1}, row {i + 1}: "
+                                       f"expected {n} cells")
+                cells = []
+                for j, token in enumerate(row):
+                    where = f"array {a + 1}, row {i + 1}, column {j + 1}: "
+                    if not isinstance(token, str):
+                        return SchemaError(where + "cell must be a string "
+                                                   "token")
+                    try:
+                        cells.append(parse_element(token, l))
+                    except ParseError as exc:
+                        return ParseError(where + str(exc))
+                    except ValueError as exc:  # l itself
+                        return exc
+                rows.append(tuple(cells))
+            arrays.append(Rectangle(tuple(rows)))
+        return RectangleSet(l, tuple(arrays))
+
+    SHAPE_DEFECTS = {
+        "array not a list": lambda arrays: arrays.__setitem__(2, "r^1"),
+        "array a dict": lambda arrays: arrays.__setitem__(2, {"0": []}),
+        "array a tuple": lambda arrays: arrays.__setitem__(
+            2, tuple(arrays[2])),
+        "row missing": lambda arrays: arrays[2].pop(),
+        "row not a list": lambda arrays: arrays[2].__setitem__(1, "r^1"),
+        "row a tuple": lambda arrays: arrays[2].__setitem__(
+            1, tuple(arrays[2][1])),
+        "row short": lambda arrays: arrays[2][1].pop(),
+        "row long": lambda arrays: arrays[2][1].append("r^1"),
+        "cell not a string": lambda arrays: arrays[2][1].__setitem__(2, 5),
+    }
+
+    def documents(self):
+        """Documents of k = 3 arrays of 2 rows: each corpus row as the last
+        row of the last array, then each shape defect of the last array,
+        alone, after a corpus token in the first array, and with l = 0.
+        They go to from_json_dict as built, so a tuple stays a tuple."""
+        def doc(last_row=None, defect=None, first_token=None, l=self.L):
+            arrays = [[["r^1", "r^2*s", "r^5"], ["r^0*s", "r^7", "r^3"]]
+                      for _ in range(3)]
+            if last_row is not None:
+                arrays[2][1] = list(last_row)
+            if first_token is not None:
+                arrays[0][1][1] = first_token
+            if defect is not None:
+                self.SHAPE_DEFECTS[defect](arrays)
+            return {"l": l, "m": 2, "n": 3, "k": 3, "arrays": arrays}
+
+        yield doc()
+        yield doc(l=0)
+        yield doc(l=-3)
+        for row in self.rows():
+            yield doc(last_row=row)
+        for defect in self.SHAPE_DEFECTS:
+            yield doc(defect=defect)
+            yield doc(defect=defect, l=0)
+            for token in TOKEN_CORPUS:
+                yield doc(defect=defect, first_token=token)
+
+    def test_documents_match_the_per_token_path(self):
+        for doc in self.documents():
+            expected = self.per_token_document(doc)
+            if isinstance(expected, Exception):
+                with pytest.raises(type(expected)) as err:
+                    designs.from_json_dict(doc)
+                assert type(err.value) is type(expected), doc
+                assert str(err.value) == str(expected), doc
+                continue
+            s = designs.from_json_dict(doc)
+            assert s == expected, doc
+            assert all(type(c) is DihedralElement and type(c.exponent) is int
+                       and type(c.is_reflection) is bool
+                       for c in s.all_cells())
 
     def test_row_path_reads_canonical_rows_only(self):
         canonical = re.compile(r"r\^[0-9]+(\*s)?")
