@@ -10,16 +10,21 @@ reflections l..2l-1.  Search status codes: 0 found (short-circuit),
 1 space exhausted, 2 node budget exceeded.  The compiled extension
 implements run_search with identical results and node accounting.
 
-The pure search does O(1) work per node.  A plan built once per call
-gives each position its neighbours and the lines it ends, each position
-keeps its row's and column's state so far (a product in linear mode, a
-cell-set bitmask in orderable mode), and candidates are walked as a
-bitmask of free elements, lowest first.  In linear mode a line that
-ends with its product already fixed admits exactly one element; the
-others are counted as nodes without being placed.
+The pure search does O(1) work per node and little per call.  D_l's
+product table and inverses are built once per l and shared by every
+search over D_l; a plan built once per call gives each position its
+neighbours and the lines it ends, each position keeps its row's and
+column's state so far (a product in linear mode, a cell-set bitmask in
+orderable mode), and candidates are walked as a bitmask of free
+elements, lowest first.  In linear mode a line that ends with its
+product already fixed admits exactly one element; the others are
+counted as nodes without being placed.  In orderable mode a line of
+one cell reaches only that cell, so its key is its mask.
 """
 
 from __future__ import annotations
+
+import functools
 
 
 def _word_index(vals, l: int) -> int:
@@ -100,8 +105,19 @@ def _product_table(l: int) -> list[list[int]]:
     return table
 
 
+@functools.cache
+def _tables(l: int) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
+    """D_l's product table (as _product_table) and inverse list, built
+    once per l and shared read-only by every search over D_l."""
+    mul = tuple(map(tuple, _product_table(l)))
+    inv = tuple([-a % l for a in range(l)] + list(range(l, 2 * l)))
+    return mul, inv
+
+
 def _key_mask(key: int, l: int) -> int:
     """reachable_mask of the line whose cells are the set bits of key."""
+    if not key & (key - 1):
+        return key  # one cell reaches only itself
     cells = []
     while key:
         b = key & -key
@@ -130,7 +146,7 @@ def run_search(l: int, m: int, n: int, k: int, linear: bool,
     fixed admits only the element that completes that product, so the
     candidates that fail are counted in bulk.  Orderable mode carries
     each line's cell set as a bitmask (cells are distinct) and memoises
-    reachable_mask per set.
+    reachable_mask per set (a one-cell set's mask is its key).
     """
     G = 2 * l
     per = m * n
@@ -169,9 +185,7 @@ def run_search(l: int, m: int, n: int, k: int, linear: bool,
         return False
 
     if linear:
-        mul = _product_table(l)
-        lmul = [list(col) for col in zip(*mul)]  # lmul[c][x] = mul[x][c]
-        inv = [-a % l for a in range(l)] + list(range(l, G))
+        mul, inv = _tables(l)
 
     def linear_dfs(t: int, rho: int, sigma: int, free: int) -> bool:
         # rho, sigma: the line product, -1 before the first line
@@ -190,7 +204,6 @@ def run_search(l: int, m: int, n: int, k: int, linear: bool,
         if col_end and sigma >= 0:
             live &= 1 << mul[sigma][inv[q]]  # the x with x q = sigma
         row = mul[p]
-        col = lmul[q]
         while live:
             b = live & -live
             live ^= b
@@ -204,7 +217,7 @@ def run_search(l: int, m: int, n: int, k: int, linear: bool,
             x = b.bit_length() - 1
             grid[t] = x
             r = rowv[t] = row[x]
-            c = colv[t] = col[x]
+            c = colv[t] = mul[x][q]
             if linear_dfs(t + 1, r if row_end else rho,
                           c if col_end else sigma, free ^ b):
                 return True

@@ -203,9 +203,14 @@ def _cmd_search(args) -> int:
 
 
 def _cmd_concat(args) -> int:
-    s = _load_set(args.infile)
-    joined = (designs.concat_vertical(s) if args.axis == "rows"
-              else designs.concat_horizontal(s))
+    # the join counts the cover; its error carries the report for the note
+    s = _read_set(args.infile)
+    try:
+        joined = (designs.concat_vertical(s) if args.axis == "rows"
+                  else designs.concat_horizontal(s))
+    except CoverError as exc:
+        _note_cover(args.infile, exc.report)
+        raise
     _emit_set(joined, args.json)
     return EXIT_PASS
 

@@ -214,7 +214,8 @@ def validate_cover(s: RectangleSet) -> CoverReport:
 def _require_cover(s: RectangleSet, op: str) -> None:
     report = validate_cover(s)
     if not report.ok:
-        raise CoverError(f"{op} requires an exact cover: {report.summary()}")
+        raise CoverError(f"{op} requires an exact cover: {report.summary()}",
+                         report)
 
 
 def concat_horizontal(s: RectangleSet) -> RectangleSet:

@@ -14,7 +14,12 @@ class ShapeError(ValueError):
 
 
 class CoverError(ValueError):
-    """An operation required an exact cover and the input lacks one."""
+    """An operation required an exact cover and the input lacks one;
+    report is the CoverReport that showed it."""
+
+    def __init__(self, message: str, report):
+        super().__init__(message)
+        self.report = report
 
 
 class CapacityError(ValueError):

@@ -10,8 +10,11 @@ The decision procedure applies, in order:
   3. shape (2, odd; 2) (or its transpose): NotExists by the row/column
      reflection-parity counting argument special to two rows and two
      arrays;
-  4. m and n both even (and m*n*k > 4): Exists, by the 2x2 block tiling;
-  5. everything else: Unknown (no result either way is implemented).
+  4. a side of length 1: NotExists, since a line of one cell multiplies
+     to that cell, the cells are distinct, and there are at least two
+     such lines;
+  5. m and n both even (and m*n*k > 4): Exists, by the 2x2 block tiling;
+  6. everything else: Unknown (no result either way is implemented).
 
 Verdicts only ever cite results this package can back with a
 constructor; the Unknown region is genuinely open.
@@ -34,6 +37,7 @@ class Justification(enum.Enum):
     THM_EVEN_TILING = "ThmEvenTiling"
     OBS_ODD_L = "ObsOddL"
     OBS_TWO_BY_L_TWICE = "ObsTwoByLTwice"
+    OBS_SIDE_ONE = "ObsSideOne"
 
 
 @dataclass(frozen=True, slots=True)
@@ -89,6 +93,14 @@ def classify(m: int, n: int, k: int) -> FeasibilityVerdict:
             f"two 2x{odd} arrays over D_{l} with {odd} odd: equal row "
             "parities per array force a reflection count of 0 mod 4, but "
             f"the group holds 2*{odd} = 2 mod 4 entries")
+
+    if m == 1 or n == 1:
+        axis, lines = ("column", n * k) if m == 1 else ("row", m * k)
+        return FeasibilityVerdict(
+            m, n, k, l, Status.NOT_EXISTS, Justification.OBS_SIDE_ONE,
+            f"each of the {lines} {axis}s holds one cell, so its product is "
+            f"that cell; the cells are distinct, so the {axis} products "
+            "cannot all be equal")
 
     if m % 2 == 0 and n % 2 == 0:
         if m * n * k > 4:

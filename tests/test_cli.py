@@ -209,8 +209,8 @@ class TestFeasible:
         assert "ThmEvenTiling" in out
 
     def test_unknown_exits_0(self, capsys):
-        code, out, _ = run_cli(capsys, "feasible", "--m", "1", "--n", "4",
-                               "--k", "3")
+        code, out, _ = run_cli(capsys, "feasible", "--m", "3", "--n", "4",
+                               "--k", "1")
         assert code == 0
         assert "Unknown" in out
 
@@ -316,6 +316,36 @@ class TestConcatRender:
         assert code == 1
         assert out == ""
         assert "concat_horizontal requires an exact cover" in err
+
+    @pytest.mark.parametrize("axis, op", [("cols", "concat_horizontal"),
+                                          ("rows", "concat_vertical")])
+    @pytest.mark.parametrize("broken", [False, True])
+    def test_cover_counted_once(self, tmp_path, capsys, monkeypatch, axis,
+                                op, broken):
+        doc = json.loads(designs.serialize(lmrs_2_2(2)))
+        if broken:
+            doc["arrays"][0][0][0] = doc["arrays"][1][1][1]
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(doc))
+        summary = designs.validate_cover(
+            designs.from_json_dict(doc)).summary()
+        calls = []
+        counted = designs.validate_cover
+
+        def counting(s):
+            calls.append(s)
+            return counted(s)
+        monkeypatch.setattr(designs, "validate_cover", counting)
+        code, out, err = run_cli(capsys, "concat", "--axis", axis,
+                                 "--in", str(path))
+        assert len(calls) == 1
+        if broken:
+            assert (code, out) == (1, "")
+            assert err == (f"note: cover violation in {path}: {summary}\n"
+                           f"error: {op} requires an exact cover: "
+                           f"{summary}\n")
+        else:
+            assert (code, err) == (0, "")
 
     def test_render(self, tmp_path, capsys):
         code, out, _ = run_cli(capsys, "construct", "--type", "lmrs22",

@@ -44,9 +44,17 @@ class TestClassify:
         assert v.l == 24
 
     def test_one_even_mod4_falls_through(self):
+        # past the parity rules to the side-one rule: 12 one-cell columns
         v = classify(1, 4, 3)
-        assert v.status is Status.UNKNOWN
-        assert v.justification is None
+        assert v.status is Status.NOT_EXISTS
+        assert v.justification is Justification.OBS_SIDE_ONE
+        assert "12 columns" in v.detail
+
+    def test_side_one_rows(self):
+        v = classify(12, 1, 1)
+        assert v.status is Status.NOT_EXISTS
+        assert v.justification is Justification.OBS_SIDE_ONE
+        assert "12 rows" in v.detail
 
     def test_below_tiling_range(self):
         v = classify(2, 2, 1)

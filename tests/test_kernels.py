@@ -43,6 +43,12 @@ class TestIndexMultiply:
                 assert _kernels_py._key_mask(key, l) == \
                     _kernels_py.reachable_mask(tuple(sorted(cells)), l)
 
+    def test_one_cell_key_is_its_mask(self):
+        for l in range(1, 33):
+            for x in range(2 * l):
+                assert _kernels_py._key_mask(1 << x, l) == \
+                    _kernels_py.reachable_mask([x], l)
+
 
 class TestAchievableParity:
     def test_pure_matches_permutation_products(self):
@@ -135,6 +141,11 @@ PINNED_RUNS = [
     ((3, 2, 3, 1, False, False, True, 10**9), (1, 1620, 0)),
     ((32, 2, 32, 1, True, False, True, 20000), (2, 20001, 32)),
     ((32, 2, 32, 1, False, False, True, 20000), (2, 20001, 130)),
+    # lines of one cell
+    ((5, 10, 1, 1, False, True, True, 10**9), (1, 10, 0)),
+    ((8, 8, 1, 2, True, True, True, 10**9), (1, 256, 0)),
+    ((6, 1, 12, 1, False, True, True, 10**9), (1, 12, 0)),
+    ((6, 12, 1, 1, True, False, True, 10**9), (1, 144, 0)),
 ]
 
 
@@ -144,6 +155,19 @@ def test_node_counts_pinned_on_every_backend(args, want):
         status, nodes, count, found = run_search(*args)
         assert (status, nodes, count) == want, run_search
         assert (found is None) == (count == 0)
+
+
+def test_interleaved_group_orders_repeat_exactly():
+    # the per-l tables are shared between calls: keyed by l, never mutated
+    runs = [(l, m, n, k, linear, True, count_all, 20000)
+            for l, m, n, k in ((2, 2, 2, 1), (4, 2, 2, 2), (3, 2, 3, 1),
+                               (8, 2, 4, 2), (1, 1, 2, 1), (6, 12, 1, 1),
+                               (4, 2, 4, 1), (8, 8, 1, 2))
+            for linear in (True, False) for count_all in (True, False)]
+    _kernels_py._tables.cache_clear()
+    first = [_kernels_py.run_search(*args) for args in runs]
+    again = [_kernels_py.run_search(*args) for args in reversed(runs)]
+    assert again[::-1] == first
 
 
 def test_search_cap_fits_the_compiled_masks():

@@ -167,6 +167,23 @@ class TestOpenRegionProbe:
             assert out.result == "exhausted_none", (m, n, k)
 
 
+class TestSideOneShapes:
+    @pytest.mark.parametrize("mode", ["linear", "orderable"])
+    def test_classified_and_exhausted_up_to_order_16(self, mode):
+        # a line of one cell multiplies to its cell, and cells are distinct
+        for order in range(2, 17, 2):
+            l = order // 2
+            for m, n, k in all_shapes(order):
+                if 1 not in (m, n):
+                    continue
+                assert classify(m, n, k).status is Status.NOT_EXISTS
+                for symmetry in (True, False):
+                    out = exhaustive_search(SearchConfig(
+                        l=l, m=m, n=n, k=k, mode=mode,
+                        symmetry_reduction=symmetry))
+                    assert out.result == "exhausted_none", (m, n, k)
+
+
 class TestConcordanceOrders10And12:
     """Bigger desk-scale sweep: the classifier never contradicts the
     exhaustive oracle, and every found set verifies."""
