@@ -10,16 +10,18 @@ reflections l..2l-1.  Search status codes: 0 found (short-circuit),
 1 space exhausted, 2 node budget exceeded.  The compiled extension
 implements run_search with identical results and node accounting.
 
-The pure search does O(1) work per node and little per call.  D_l's
-product table and inverses are built once per l and shared by every
-search over D_l; a plan built once per call gives each position its
-neighbours and the lines it ends, each position keeps its row's and
-column's state so far (a product in linear mode, a cell-set bitmask in
-orderable mode), and candidates are walked as a bitmask of free
-elements, lowest first.  In linear mode a line that ends with its
-product already fixed admits exactly one element; the others are
-counted as nodes without being placed.  In orderable mode a line of
-one cell reaches only that cell, so its key is its mask.
+The pure search does O(1) work per node, and its cost per call does not
+grow with the shape.  D_l's product table and inverses are built once
+per l, and the plan that gives each position its neighbours and the
+lines it ends once per shape and mode; both are shared read-only by
+every search.  Each position keeps its row's and column's state so far
+(a product in linear mode, a cell-set bitmask in orderable mode), and
+candidates are walked as a bitmask of free elements, lowest first.  In
+linear mode a line that ends with its product already fixed admits
+exactly one element; the others are counted as nodes without being
+placed, and when that one element is already used the position is
+counted by its parent, without a call.  In orderable mode a line of one
+cell reaches only that cell, so its key is its mask.
 """
 
 from __future__ import annotations
@@ -126,6 +128,30 @@ def _key_mask(key: int, l: int) -> int:
     return reachable_mask(cells, l)
 
 
+@functools.cache
+def _plan(m: int, n: int, k: int, linear: bool, symmetry: bool):
+    """The per-position plan of a search over k m x n arrays, built once
+    per shape and mode and shared read-only (a tuple of tuples).
+
+    plan[t]: ends a row, ends a column, left and upper neighbour (the
+    spare slot N = mnk, an empty line, where a line starts), the
+    candidate cut (the identity only at t = 0 in orderable mode with
+    symmetry) and the anchor whose cell this one must exceed (-1 for
+    none).
+    """
+    per = m * n
+    N = per * k
+    plan = []
+    for t in range(N):
+        i, j = divmod(t % per, n)
+        plan.append((j == n - 1, i == m - 1, t - 1 if j else N,
+                     t - n if i else N,
+                     1 if t == 0 and symmetry and not linear else -1,
+                     t - per if symmetry and t >= per and t % per == 0
+                     else -1))
+    return tuple(plan)
+
+
 def run_search(l: int, m: int, n: int, k: int, linear: bool,
                symmetry: bool, count_all: bool, budget: int):
     """Depth-first placement of all 2l elements into the k m x n arrays.
@@ -139,34 +165,25 @@ def run_search(l: int, m: int, n: int, k: int, linear: bool,
     exceeds the previous array's first cell, and in orderable mode the
     identity comes first.
 
-    Per node the work is O(1).  Linear mode carries each row's product
-    left to right (rowv[t] = mul[rowv[t-1]][x]) and each column's product
-    bottom to top (colv[t] = mul[x][colv[t-n]]), so rho and sigma are
-    single products.  A row (column) ending where rho (sigma) is already
-    fixed admits only the element that completes that product, so the
-    candidates that fail are counted in bulk.  Orderable mode carries
-    each line's cell set as a bitmask (cells are distinct) and memoises
-    reachable_mask per set (a one-cell set's mask is its key).
+    Per node the work is O(1), and per call it does not grow with the
+    shape: the plan (_plan) is built once per shape and mode.  Linear
+    mode passes each row's product left to right to the next position
+    (mul[p][x]) and keeps each column's product bottom to top (colv[t] =
+    mul[x][colv[t-n]]), so rho and sigma are single products.  A row
+    (column) ending where rho (sigma) is already fixed admits only the
+    element that completes that product, so the candidates that fail are
+    counted in bulk.  When the next position is such a line end without
+    an anchor, its one admissible element is found before the call; if
+    it is already used, the next position's candidates are counted here
+    and nothing is called.  Orderable mode carries each line's cell set
+    as a bitmask (cells are distinct) and memoises reachable_mask per
+    set (a one-cell set's mask is its key).
     """
-    G = 2 * l
-    per = m * n
-    N = per * k
-    # plan[t]: ends a row, ends a column, left and upper neighbour (the
-    # spare slot N, an empty line, where a line starts), the candidate
-    # cut (the identity only at t = 0 in orderable mode with symmetry)
-    # and the anchor whose cell this one must exceed (-1 for none)
-    plan = []
-    for t in range(N):
-        i, j = divmod(t % per, n)
-        plan.append((j == n - 1, i == m - 1, t - 1 if j else N,
-                     t - n if i else N,
-                     1 if t == 0 and symmetry and not linear else -1,
-                     t - per if symmetry and t >= per and t % per == 0
-                     else -1))
+    N = m * n * k
+    plan = _plan(m, n, k, linear, symmetry)
     grid = [0] * N
-    # the row up to t and the column from t up: products (linear mode,
-    # rows left to right, columns bottom to top) or cell sets (orderable)
-    rowv = [0] * (N + 1)
+    # the column from t up: a product (linear mode, bottom to top) or a
+    # cell set (orderable); slot N is the empty column
     colv = [0] * (N + 1)
 
     nodes = 0
@@ -187,22 +204,31 @@ def run_search(l: int, m: int, n: int, k: int, linear: bool,
     if linear:
         mul, inv = _tables(l)
 
-    def linear_dfs(t: int, rho: int, sigma: int, free: int) -> bool:
+    def linear_dfs(t: int, p: int, rho: int, sigma: int, free: int) -> bool:
+        # p: the row's product so far (the identity, 0, at a row start);
         # rho, sigma: the line product, -1 before the first line
         nonlocal nodes, status
         if t == N:
             return leaf()
-        row_end, col_end, left, up, cand, anc = plan[t]
-        cand &= free
+        row_end, col_end, _, up, _, anc = plan[t]
+        cand = free
         if anc >= 0:
             cand &= -(2 << grid[anc])  # elements above the anchor's
-        p = rowv[left]
         q = colv[up]
         live = cand
         if row_end and rho >= 0:
             live &= 1 << mul[inv[p]][rho]  # the x with p x = rho
         if col_end and sigma >= 0:
             live &= 1 << mul[sigma][inv[q]]  # the x with x q = sigma
+        # peek: t + 1 ends a line whose product is fixed by then, and has
+        # no anchor, so its candidates are free ^ b and it admits one
+        peek_row = peek_col = False
+        if t + 1 < N:
+            next_row_end, next_col_end, _, next_up, _, next_anc = plan[t + 1]
+            if next_anc < 0:
+                peek_row = next_row_end and (row_end or rho >= 0)
+                peek_col = next_col_end and (col_end or sigma >= 0)
+        peek = peek_row or peek_col
         row = mul[p]
         while live:
             b = live & -live
@@ -216,10 +242,27 @@ def run_search(l: int, m: int, n: int, k: int, linear: bool,
             cand &= -(b << 1)
             x = b.bit_length() - 1
             grid[t] = x
-            r = rowv[t] = row[x]
+            r = row[x]
             c = colv[t] = mul[x][q]
-            if linear_dfs(t + 1, r if row_end else rho,
-                          c if col_end else sigma, free ^ b):
+            rest = free ^ b
+            if peek:
+                # t + 1's one admissible element, as its call would find
+                # it; if t ends a row, t + 1 starts one (n = 1) and rho is r
+                need = rest
+                if peek_row:
+                    need &= 1 << (r if row_end else mul[inv[r]][rho])
+                if peek_col:
+                    need &= 1 << mul[c if col_end else sigma][
+                        inv[colv[next_up]]]
+                if not need:  # t + 1 places nothing: count its nodes
+                    nodes += rest.bit_count()
+                    if nodes > budget:
+                        nodes = budget + 1
+                        status = 2
+                        return True
+                    continue
+            if linear_dfs(t + 1, 0 if row_end else r, r if row_end else rho,
+                          c if col_end else sigma, rest):
                 return True
         nodes += cand.bit_count()  # the candidates above the last live one
         if nodes > budget:
@@ -229,6 +272,7 @@ def run_search(l: int, m: int, n: int, k: int, linear: bool,
         return False
 
     memo: dict[int, int] = {}
+    rowv = [0] * (N + 1)  # the row up to t, as a cell set
 
     def orderable_dfs(t: int, rho: int, sigma: int, free: int) -> bool:
         # rho, sigma: masks of the products every line so far can take,
@@ -275,7 +319,7 @@ def run_search(l: int, m: int, n: int, k: int, linear: bool,
         return False
 
     if linear:
-        linear_dfs(0, -1, -1, (1 << G) - 1)
+        linear_dfs(0, 0, -1, -1, (1 << 2 * l) - 1)
     else:
-        orderable_dfs(0, 0, 0, (1 << G) - 1)
+        orderable_dfs(0, 0, 0, (1 << 2 * l) - 1)
     return status, nodes, count, found

@@ -18,9 +18,19 @@ HARD_CAP = 16  # largest group order 2l searched; <= 64 (compiled masks)
 DEFAULT_BUDGET = 10**9
 
 
+# the fields whose value must have exactly this type: a bool is not a
+# dimension or a budget, and a truthy non-bool is not a switch
+_FIELD_TYPES = (("m", int), ("n", int), ("k", int), ("node_budget", int),
+                ("symmetry_reduction", bool), ("count_all", bool))
+
+
 @dataclass(frozen=True, slots=True)
 class SearchConfig:
-    """Parameters of one search run; m*n*k must equal 2l."""
+    """Parameters of one search run; m*n*k must equal 2l.
+
+    m, n, k and node_budget must be plain ints and the two switches
+    plain bools (TypeError otherwise).
+    """
 
     l: int
     m: int
@@ -33,6 +43,15 @@ class SearchConfig:
 
     def __post_init__(self):
         dihedral.check_group_order(self.l)
+        if not (type(self.m) is type(self.n) is type(self.k)
+                is type(self.node_budget) is int
+                and type(self.symmetry_reduction) is type(self.count_all)
+                is bool):
+            for name, kind in _FIELD_TYPES:
+                value = getattr(self, name)
+                if type(value) is not kind:
+                    raise TypeError(f"{name} must be a plain {kind.__name__}"
+                                    f", got {type(value).__name__}")
         if self.m < 1 or self.n < 1 or self.k < 1:
             raise ValueError("dimensions must be positive")
         if self.m * self.n * self.k != 2 * self.l:

@@ -3,6 +3,7 @@ backend parity (the compiled search must behave exactly like the pure
 twin: results, node counts, budget accounting), and node counts pinned
 on whichever backends are present."""
 
+import hashlib
 import itertools
 import random
 
@@ -168,6 +169,48 @@ def test_interleaved_group_orders_repeat_exactly():
     first = [_kernels_py.run_search(*args) for args in runs]
     again = [_kernels_py.run_search(*args) for args in reversed(runs)]
     assert again[::-1] == first
+
+
+# every budget from 1 to 300, then a stride up to the total, in linear mode
+# (where forced line ends are counted in bulk and dead ones settled before
+# the call); digest recorded from the kernel that built its plan per call
+BUDGET_SWEEP_DIGEST = (
+    3705, "d8408bdbc80bb070032c3d247695b2d4005b74d2013c3447cb01575d15e21833")
+
+
+def test_budget_sweep_pinned_on_every_backend():
+    for run_search in {_kernels_py.run_search, _backend.run_search}:
+        results = []
+        for (l, m, n, k), symmetry, count_all in itertools.product(
+                ((4, 2, 2, 2), (6, 2, 3, 2), (6, 1, 6, 2)), (True, False),
+                (True, False)):
+            total = run_search(l, m, n, k, True, symmetry, count_all,
+                               10**9)[1]
+            for budget in sorted({*range(1, 301), total, total + 1,
+                                  *range(1, total, total // 16 + 1)}):
+                results.append(run_search(l, m, n, k, True, symmetry,
+                                          count_all, budget))
+        digest = hashlib.sha256(repr(results).encode()).hexdigest()
+        assert (len(results), digest) == BUDGET_SWEEP_DIGEST, run_search
+
+
+def test_interleaved_plans_repeat_exactly():
+    # plans are cached per shape and mode: shapes sharing N = mnk must
+    # not see each other's plan, and no search may mutate one
+    keys = [(m, n, k, linear, symmetry)
+            for m, n, k in ((2, 3, 2), (3, 2, 2), (1, 6, 2), (6, 1, 2),
+                            (2, 6, 1), (12, 1, 1))
+            for linear in (True, False) for symmetry in (True, False)]
+    _kernels_py._plan.cache_clear()
+    first = [_kernels_py._plan(*key) for key in keys]
+    for key in keys:
+        _kernels_py.run_search(6, *key, True, 20000)
+    again = [_kernels_py._plan(*key) for key in reversed(keys)]
+    assert again[::-1] == first
+    assert first == [_kernels_py._plan.__wrapped__(*key) for key in keys]
+    for plan in first:
+        assert type(plan) is tuple
+        assert all(type(entry) is tuple for entry in plan)
 
 
 def test_search_cap_fits_the_compiled_masks():

@@ -66,6 +66,24 @@ class TestConfig:
         with pytest.raises(ValueError):
             SearchConfig(l=2, m=2, n=2, k=1, mode="both")
 
+    @pytest.mark.parametrize("field, fields", [
+        # each would pass every value check: m*n*k == 2l, positive
+        ("node_budget", dict(node_budget=2.5)),  # reported 3.5 nodes
+        ("m", dict(m=2.0)),  # failed inside the kernel
+        ("m", dict(m=True, n=2, k=2)),  # ran as m = 1
+        ("n", dict(n=True, m=2, k=2)),
+        ("k", dict(k=True)),
+        ("node_budget", dict(node_budget=True)),
+        ("n", dict(n="2")),
+        ("symmetry_reduction", dict(symmetry_reduction="no")),  # ran as True
+        ("symmetry_reduction", dict(symmetry_reduction=0)),
+        ("count_all", dict(count_all=1)),
+        ("count_all", dict(count_all=None)),
+    ])
+    def test_field_types(self, field, fields):
+        with pytest.raises(TypeError, match=f"^{field} must be a plain "):
+            SearchConfig(**{"l": 2, "m": 2, "n": 2, "k": 1, **fields})
+
     def test_hard_cap(self):
         with pytest.raises(CapacityError):
             exhaustive_search(SearchConfig(l=9, m=2, n=9, k=1))
