@@ -2,8 +2,8 @@
 verification, feasibility classification and exhaustive search."""
 
 from ._backend import active_backend
-from .construct import (DiagonalPlan, diagonal_plan, lemma_block, lmrs_2_2,
-                        lmrs_even, lsms, ms, ms_block)
+from .construct import (diagonal_plan, lemma_block, lmrs_2_2, lmrs_even,
+                        lsms, ms, ms_block)
 from .designs import (CoverReport, CoverViolationWarning, ProductSpec,
                       Rectangle, RectangleSet, concat_horizontal,
                       concat_vertical, deserialize, render_text, serialize,
@@ -13,7 +13,7 @@ from .dihedral import (DihedralElement, element_from_index, element_index,
                        parse_element, power, reflection, rotation,
                        word_product)
 from .errors import (BudgetExceededError, CapacityError, CoverError,
-                     ParseError, PlanCollisionError, SchemaError, ShapeError)
+                     ParseError, SchemaError, ShapeError)
 from .feasibility import (FeasibilityVerdict, Justification, Status, classify,
                           parity_witness)
 from .search import (SearchConfig, SearchOutcome, count_solutions,

@@ -15,7 +15,7 @@ import sys
 from . import construct, designs, feasibility, search, verify
 from .designs import CoverReport, RectangleSet
 from .errors import (BudgetExceededError, CapacityError, CoverError,
-                     PlanCollisionError, ShapeError)
+                     ShapeError)
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -41,9 +41,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int)
     p.add_argument("--n", type=int)
     p.add_argument("--k", type=int)
+    # a no-op, still accepted because mrsbench/workloads.py passes it
     p.add_argument("--repair-plan", action="store_true",
-                   help="allow the repaired diagonal plan when the closed-form "
-                        "index formula collides (n = 0 mod 8, n >= 16)")
+                   help=argparse.SUPPRESS)
     p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("verify", help="verify a rectangle set from a file")
@@ -138,7 +138,7 @@ def _cmd_construct(args) -> int:
         if args.type == "ms":
             s = construct.ms(args.n)
         else:
-            s = construct.lsms(args.n, repair_plan=args.repair_plan)
+            s = construct.lsms(args.n)
     _emit_set(s, args.json)
     return EXIT_PASS
 
@@ -242,11 +242,6 @@ def run(argv: list[str] | None = None) -> int:
     except (CapacityError, BudgetExceededError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAPACITY
-    except PlanCollisionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        print("hint: pass --repair-plan to use the repaired diagonal plan",
-              file=sys.stderr)
-        return EXIT_USAGE
     except CoverError as exc:
         # the input is a verified-defective candidate, not a usage mistake
         print(f"error: {exc}", file=sys.stderr)

@@ -8,23 +8,21 @@ The workhorse block family M^p over D_2l,
 has row product rs (left-to-right) and column product s (bottom-to-top)
 for every p, and the l blocks p = 0..l-1 together cover D_2l exactly.
 Tiling them yields linearly magic rectangle sets for all even m, n.
-Squares with side divisible by 8 become fully magic by steering which
-blocks sit on the two diagonals (the diagonal of M^p contributes the
-rotation r^(4p+1), so index sets A and B with the right sums telescope
-both diagonals to r^0).  A second block family with mixed rotation and
-reflection diagonals handles squares of side n = 4k in the orderable
-sense.
+Squares with side 8k become fully magic by steering which blocks sit on
+the two diagonals: the diagonal of M^p contributes the rotation
+r^(4p+1), and one closed-form plan (`diagonal_plan`) picks, for every
+k, two disjoint sets of 4k blocks whose sums telescope both diagonals
+to r^0.  A second block family with mixed rotation and reflection
+diagonals handles squares of side n = 4k in the orderable sense.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import itemgetter
 
 from . import dihedral
 from .designs import Rectangle, RectangleSet
 from .dihedral import DihedralElement
-from .errors import PlanCollisionError
 
 
 def _block_rows(blocks: int, odd, reflect: bool):
@@ -55,7 +53,11 @@ def _lemma_rows(blocks: int):
 
 
 def lemma_block(p: int, l: int) -> Rectangle:
-    """The 2x2 block M^p over D_2l (exponents reduced mod 2l)."""
+    """The 2x2 block M^p over D_2l (exponents reduced mod 2l); p must
+    be a plain int (TypeError otherwise)."""
+    if type(p) is not int:
+        raise TypeError(f"block index must be a plain int, got "
+                        f"{type(p).__name__}")
     if not 0 <= p < l:
         raise ValueError(f"block index {p} out of range [0, {l})")
     modulus = dihedral.check_group_order(2 * l)
@@ -98,88 +100,39 @@ def lmrs_even(m: int, n: int, k: int) -> RectangleSet:
                                        for i in range(0, m * k, m)))
 
 
-@dataclass(frozen=True, slots=True)
-class DiagonalPlan:
-    """Block index lists steering the two diagonals of an 8k x 8k square.
+def diagonal_plan(k: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Block indices (main, back) for the two diagonals of an 8k x 8k
+    square, in the order `lsms` places them.
 
-    main (A) wants |A| = 4k, A within [0, 8k^2) and sum(A) = -k mod 8k^2;
-    back is the derived shift B = {a + 8k^2}.  Those conditions make both
-    diagonal products telescope to r^0.  `collisions` lists the values
-    main repeats; `repaired` marks a plan where the colliding pair was
-    replaced by a nearby valid one.
-    """
+    With c = 8k^2, main is (0, 2, 6, 7) for k = 1.  For k >= 2 it is the
+    pairs (j, c-j) for j = 1..2k-1, with the pair j = k replaced by
+    (2k, c-2k), followed by 0 and c-k.  back is main shifted by c.
 
-    k: int
-    main: tuple[int, ...]
-    repaired: bool = False
-
-    @property
-    def back(self) -> tuple[int, ...]:
-        c = 8 * self.k * self.k
-        return tuple(a + c for a in self.main)
-
-    @property
-    def collisions(self) -> tuple[int, ...]:
-        return tuple(sorted(v for v in set(self.main)
-                            if self.main.count(v) > 1))
-
-    def problems(self) -> tuple[str, ...]:
-        """Invariant diagnostics; empty means the plan is usable."""
-        c = 8 * self.k * self.k
-        out = []
-        if len(set(self.main)) != 4 * self.k:
-            out.append(f"main diagonal indices collide: "
-                       f"{list(self.collisions)} "
-                       f"({len(set(self.main))} distinct, need {4 * self.k})")
-        if any(not 0 <= a < c for a in self.main):
-            out.append(f"main diagonal indices outside [0, {c})")
-        if sum(self.main) % c != (-self.k) % c:
-            out.append(f"main index sum {sum(self.main)} != -k mod {c}")
-        if set(self.main) & set(self.back):
-            out.append("main and back diagonal index sets overlap")
-        return tuple(out)
-
-
-def _closed_form_main(k: int) -> list[int]:
-    if k == 1:
-        return [0, 2, 6, 7]
-    c = 8 * k * k
-    out: list[int] = []
-    for j in range(1, 2 * k):
-        out += [j, c - j]
-    out += [0, c - k]
-    return out
-
-
-def diagonal_plan(k: int, repair: bool = False) -> DiagonalPlan:
-    """Diagonal index plan for an 8k x 8k square.
-
-    The interleaved formula {1, 8k^2-1, 2, 8k^2-2, ..., 0, 8k^2-k}
-    duplicates 8k^2-k for every k >= 2 (the pair j = k already supplies
-    it); the duplicate is reported in `collisions`, never hidden.  With
-    repair=True the colliding pair (k, 8k^2-k) is swapped for
-    (2k, 8k^2-2k): the plan holds only j and 8k^2-j for j < 2k, plus 0 and
-    8k^2-k, so the new pair is distinct from the rest, and the size and
-    the sum congruence are kept.
+    The plan is valid for every k.  For k >= 2 the low entries are 0..2k
+    without k and the high ones are c-2k..c-1, and c > 4k keeps the two
+    runs apart, so main holds 4k distinct blocks of [0, c).  Each of the
+    2k-1 pairs sums to c, so sum(main) = c - k = -k (mod c).  (For k = 1,
+    0+2+6+7 = 15 = -1 mod 8.)  back lies in [c, 2c), so it is disjoint
+    from main, and sum(back) = -k (mod c) too.
     """
     if k < 1:
         raise ValueError(f"k must be positive, got {k}")
-    main = _closed_form_main(k)
-    plan = DiagonalPlan(k, tuple(main))
-    if not (repair and plan.collisions):
-        return plan
-    pos = main.index(k)  # the pair (k, 8k^2-k) sits at (pos, pos+1)
-    main[pos:pos + 2] = [2 * k, 8 * k * k - 2 * k]
-    return DiagonalPlan(k, tuple(main), repaired=True)
+    c = 8 * k * k
+    if k == 1:
+        main = (0, 2, 6, 7)
+    else:
+        lows = [2 * k if j == k else j for j in range(1, 2 * k)]
+        main = tuple(x for j in lows for x in (j, c - j)) + (0, c - k)
+    return main, tuple(a + c for a in main)
 
 
-def lsms(n: int, repair_plan: bool = True) -> RectangleSet:
+def lsms(n: int) -> RectangleSet:
     """Linearly semi-magic square of side n = 0 mod 4; fully magic in the
     fixed-diagonal sense when n = 0 mod 8.
 
     For n = 4 mod 8 this is the plain even tiling (rho = sigma = r^0
-    because n/2 is even).  For n = 8k the blocks named by the diagonal
-    plan are parked on the two diagonals (main gets A, backward gets B,
+    because n/2 is even).  For n = 8k the blocks named by
+    `diagonal_plan(k)` are parked on the two diagonals (main and back,
     each in list order) and the rest fill the remaining positions
     row-major in ascending index order; row and column products do not
     depend on placement, and the diagonals telescope to r^0.
@@ -188,23 +141,16 @@ def lsms(n: int, repair_plan: bool = True) -> RectangleSet:
         raise ValueError(f"side must be >= 4 and divisible by 4, got {n}")
     if n % 8 == 4:
         return lmrs_even(n, n, 1)
-    k = n // 8
-    plan = diagonal_plan(k, repair=repair_plan)
-    issues = plan.problems()
-    if issues:
-        raise PlanCollisionError(
-            f"diagonal plan for k={k} is unusable: " + "; ".join(issues) +
-            " (the closed-form index formula duplicates an entry; "
-            "enable the repaired plan)")
-    side = 4 * k
+    main, back = diagonal_plan(n // 8)
+    side = n // 2
     blocks = n * n // 4
     modulus = dihedral.check_group_order(2 * blocks)
     top, bottom = _lemma_rows(blocks)
     assignment = [[-1] * side for _ in range(side)]
-    for g, (a, b) in enumerate(zip(plan.main, plan.back)):
+    for g, (a, b) in enumerate(zip(main, back)):
         assignment[g][g] = a
         assignment[g][side - 1 - g] = b
-    rest = iter(sorted(set(range(blocks)) - set(plan.main) - set(plan.back)))
+    rest = iter(sorted(set(range(blocks)) - set(main) - set(back)))
     for bi in range(side):
         for bj in range(side):
             if assignment[bi][bj] < 0:
@@ -227,8 +173,12 @@ def ms_block(p: int, l: int) -> Rectangle:
 
     Both variants have column product s (in the appropriate reading) and
     diagonal products {r, r^-1}, swapped between the variants, so stacking
-    equal counts of each cancels the diagonals.
+    equal counts of each cancels the diagonals.  p must be a plain int
+    (TypeError otherwise).
     """
+    if type(p) is not int:
+        raise TypeError(f"block index must be a plain int, got "
+                        f"{type(p).__name__}")
     if l % 4:
         raise ValueError(f"ambient modulus must be divisible by 4, got {l}")
     if not 0 <= p < l // 2:

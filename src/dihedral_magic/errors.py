@@ -26,9 +26,5 @@ class CapacityError(ValueError):
     """A size cap was exceeded (line length, group order, ...)."""
 
 
-class PlanCollisionError(ValueError):
-    """The closed-form diagonal index formula produced duplicate entries."""
-
-
 class BudgetExceededError(RuntimeError):
     """The search node budget ran out before the space was covered."""

@@ -66,7 +66,13 @@ class FeasibilityVerdict:
 
 
 def classify(m: int, n: int, k: int) -> FeasibilityVerdict:
-    """Feasibility verdict for a magic rectangle set of k arrays m x n."""
+    """Feasibility verdict for a magic rectangle set of k arrays m x n;
+    m, n and k must be plain ints (TypeError otherwise)."""
+    if not (type(m) is type(n) is type(k) is int):
+        for name, value in (("m", m), ("n", n), ("k", k)):
+            if type(value) is not int:
+                raise TypeError(f"{name} must be a plain int, got "
+                                f"{type(value).__name__}")
     if m < 1 or n < 1 or k < 1:
         raise ValueError(f"dimensions must be positive, got ({m},{n},{k})")
     if (m * n * k) % 2:

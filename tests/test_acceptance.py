@@ -213,13 +213,11 @@ def test_criterion_9_property_suites():
                 parity = sum(1 for x in cells if x.is_reflection) % 2
                 for perm in itertools.permutations(cells):
                     assert word_product(perm, l).is_reflection == bool(parity)
-        # diagonal plans: closed-form collisions flagged, repaired plans valid
-        assert diagonal_plan(1).problems() == ()
-        assert diagonal_plan(2).collisions == (30,), \
-            "the k=2 duplicate must be surfaced, never silently passed"
-        for k in range(2, 51):
-            closed_form = diagonal_plan(k)
-            assert closed_form.collisions, k
-            assert closed_form.problems(), k
-            repaired = diagonal_plan(k, repair=True)
-            assert repaired.problems() == (), k
+        # diagonal plans: 4k distinct blocks of [0, 8k^2) summing to -k,
+        # and a back diagonal disjoint from them
+        for k in range(1, 51):
+            main, back = diagonal_plan(k)
+            c = 8 * k * k
+            assert len(set(main)) == 4 * k and 0 <= min(main), k
+            assert max(main) < c and sum(main) % c == (-k) % c, k
+            assert not set(main) & set(back), k

@@ -38,15 +38,19 @@ class TestConstruct:
         assert code == 2
         assert "mod 8" in err
 
-    def test_lms16_needs_repair_flag(self, capsys):
-        code, _, err = run_cli(capsys, "construct", "--type", "lms",
-                               "--n", "16")
-        assert code == 2
-        assert "--repair-plan" in err
+    def test_lms16_repair_flag_ignored(self, capsys):
+        # --repair-plan is still accepted, hidden, and changes nothing
         code, out, _ = run_cli(capsys, "construct", "--type", "lms",
-                               "--n", "16", "--repair-plan", "--json")
+                               "--n", "16", "--json")
         assert code == 0
         assert designs.deserialize(out).n == 16
+        code, flagged, _ = run_cli(capsys, "construct", "--type", "lms",
+                                   "--n", "16", "--repair-plan", "--json")
+        assert code == 0
+        assert flagged == out
+        code, out, _ = run_cli(capsys, "construct", "--help")
+        assert code == 0
+        assert "repair" not in out
 
     def test_invalid_params_usage_error(self, capsys):
         code, _, _ = run_cli(capsys, "construct", "--type", "lmrs",
@@ -414,7 +418,7 @@ PIPELINES = [
     (["--type", "lsms", "--n", "12"], ["--mode", "linear", "--square"]),
     (["--type", "lms", "--n", "8"],
      ["--mode", "linear", "--magic", "--diag", "fixed"]),
-    (["--type", "lms", "--n", "16", "--repair-plan"],
+    (["--type", "lms", "--n", "16"],
      ["--mode", "linear", "--magic", "--diag", "fixed"]),
     (["--type", "ms", "--n", "4"],
      ["--mode", "orderable", "--magic", "--diag", "fixed", "--cap", "4"]),

@@ -1,17 +1,17 @@
 """Constructors against the published block values and the verifier oracles."""
 
 import itertools
+import math
 import time
 
 import pytest
 
-from dihedral_magic.construct import (DiagonalPlan, diagonal_plan,
-                                      lemma_block, lmrs_2_2, lmrs_even, lsms,
-                                      ms, ms_block)
+from dihedral_magic.construct import (diagonal_plan, lemma_block, lmrs_2_2,
+                                      lmrs_even, lsms, ms, ms_block)
 from dihedral_magic.designs import validate_cover
-from dihedral_magic.dihedral import (identity, multiply, parse_element, power,
-                                     reflection, rotation, word_product)
-from dihedral_magic.errors import PlanCollisionError
+from dihedral_magic.dihedral import (MAX_GROUP_ORDER, identity, multiply,
+                                     parse_element, power, reflection,
+                                     rotation, word_product)
 from dihedral_magic.verify import (verify_linear, verify_magic_square,
                                    verify_semi_magic_square)
 
@@ -42,6 +42,15 @@ class TestLemmaBlock:
             lemma_block(4, 4)
         with pytest.raises(ValueError):
             lemma_block(-1, 4)
+
+
+@pytest.mark.parametrize("block", [lemma_block, ms_block],
+                         ids=["lemma_block", "ms_block"])
+@pytest.mark.parametrize("p", [0.0, 1.0, True, False])
+def test_block_index_must_be_plain_int(block, p):
+    # a float index printed exponents such as r^1.0, and True ran as p = 1
+    with pytest.raises(TypeError, match="plain int"):
+        block(p, 8)
 
 
 class TestLmrs22:
@@ -121,55 +130,39 @@ class TestLmrsEven:
             lmrs_even(2, 4, 0)
 
 
-class TestDiagonalPlan:
+class TestDiagonalIndexPlan:
     def test_k1_closed_form(self):
-        plan = diagonal_plan(1)
-        assert plan.main == (0, 2, 6, 7)
-        assert plan.back == (8, 10, 14, 15)
-        assert plan.collisions == ()
-        assert plan.problems() == ()
-        assert sum(plan.main) % 8 == 7  # -1 mod 8
+        main, back = diagonal_plan(1)
+        assert main == (0, 2, 6, 7)
+        assert back == (8, 10, 14, 15)
+        assert sum(main) % 8 == 7  # -1 mod 8
 
-    def test_k2_collision_flagged(self):
-        plan = diagonal_plan(2)
-        assert plan.collisions == (30,)
-        assert not plan.repaired
-        assert any("collide" in p for p in plan.problems())
+    def test_k2_plan(self):
+        # the pairs (j, 32-j) for j = 1, 3, with j = 2 replaced by 2k = 4
+        main, back = diagonal_plan(2)
+        assert main == (1, 31, 4, 28, 3, 29, 0, 30)
+        assert back == tuple(a + 32 for a in main)
 
-    def test_problems_of_hand_built_plans(self):
-        assert DiagonalPlan(1, (0, 2, 6, 8)).problems() == (
-            "main diagonal indices outside [0, 8)",
-            "main index sum 16 != -k mod 8",
-            "main and back diagonal index sets overlap")
-        plan = DiagonalPlan(1, (0, 2, 2, 3))
-        assert plan.collisions == (2,)
-        assert plan.problems() == (
-            "main diagonal indices collide: [2] (3 distinct, need 4)",)
-
-    def test_collision_for_every_k_ge_2(self):
-        for k in range(2, 51):
-            plan = diagonal_plan(k)
-            assert plan.collisions == (8 * k * k - k,)
-
-    def test_repaired_plans_valid_up_to_50(self):
-        for k in range(1, 51):
-            plan = diagonal_plan(k, repair=True)
-            assert plan.problems() == ()
-            assert plan.repaired == (k >= 2)
+    def test_valid_for_every_k_lsms_reaches(self):
+        # lsms(8k) works over D_(32k^2), so k runs up to the group cap
+        top = math.isqrt(MAX_GROUP_ORDER // 32)
+        assert 32 * top * top <= MAX_GROUP_ORDER < 32 * (top + 1) ** 2
+        for k in range(1, top + 1):
+            main, back = diagonal_plan(k)
             c = 8 * k * k
-            assert len(set(plan.main)) == 4 * k
-            assert all(0 <= a < c for a in plan.main)
-            assert sum(plan.main) % c == (-k) % c
-            assert sum(plan.back) % c == (-k) % c
-            assert not set(plan.main) & set(plan.back)
+            assert len(main) == len(set(main)) == 4 * k, k
+            assert 0 <= min(main) and max(main) < c, k
+            assert sum(main) % c == (-k) % c, k
+            assert back == tuple(a + c for a in main), k
+            assert not set(main) & set(back), k
 
     def test_diagonal_rotation_product_telescopes(self):
         # the main diagonal of block a contributes r^(4a+1) in D_(32k^2)
         for k in (1, 2, 3):
-            plan = diagonal_plan(k, repair=True)
+            main, _ = diagonal_plan(k)
             modulus = 32 * k * k
             prod = word_product([rotation(4 * a + 1, modulus)
-                                 for a in plan.main], modulus)
+                                 for a in main], modulus)
             assert prod == identity(modulus)
 
     def test_k_must_be_positive(self):
@@ -198,10 +191,6 @@ class TestLsms:
     def test_n16_magic_with_repair(self):
         report = verify_magic_square(lsms(16))
         assert report.passed and report.witnessed.mu == identity(128)
-
-    def test_n16_unrepaired_plan_refused(self):
-        with pytest.raises(PlanCollisionError):
-            lsms(16, repair_plan=False)
 
     def test_n12_is_plain_tiling(self):
         assert lsms(12) == lmrs_even(12, 12, 1)
@@ -363,24 +352,21 @@ class TestFlatConstructionsMatchTheBlocks:
                     assert got == [lemma_block(p, s.l // 2).cells
                                    for p in range(s.l // 2)], (m, n, k)
 
-    @pytest.mark.parametrize("repair", [True, False])
-    def test_lsms(self, repair):
+    def test_lsms(self):
         for n in range(4, 65, 4):
             if n % 8 == 4:  # the plain tiling: blocks row-major
                 order = list(range(n * n // 4))
-            elif not repair and n >= 16:
-                continue  # the closed-form plan collides (TestLsms)
             else:
-                plan = diagonal_plan(n // 8, repair=True)
+                main, back = diagonal_plan(n // 8)
                 side = n // 2
                 grid = [[None] * side for _ in range(side)]
-                for g, (a, b) in enumerate(zip(plan.main, plan.back)):
+                for g, (a, b) in enumerate(zip(main, back)):
                     grid[g][g], grid[g][side - 1 - g] = a, b
-                rest = iter(sorted(set(range(side * side)) - set(plan.main)
-                                   - set(plan.back)))
+                rest = iter(sorted(set(range(side * side)) - set(main)
+                                   - set(back)))
                 order = [next(rest) if p is None else p
                          for row in grid for p in row]
-            s = lsms(n, repair_plan=repair)
+            s = lsms(n)
             assert blocks_of(s.arrays[0]) == [
                 lemma_block(p, s.l // 2).cells for p in order], n
 

@@ -70,6 +70,15 @@ class TestClassify:
         with pytest.raises(ValueError):
             classify(3, 3, 1)
 
+    @pytest.mark.parametrize("shape,name", [
+        ((2.5, 2, 2), "m"),   # was NotExists "over D_5.0"
+        ((True, 2, 2), "m"),  # cited "two 2xTrue arrays"
+        ((2, 2, 2.0), "k"),   # was Exists over D_4.0
+    ], ids=["float_m", "bool_m", "float_k"])
+    def test_non_int_shape_rejected(self, shape, name):
+        with pytest.raises(TypeError, match=f"^{name} must be a plain int"):
+            classify(*shape)
+
     def test_nonpositive_rejected(self):
         with pytest.raises(ValueError):
             classify(0, 2, 1)
