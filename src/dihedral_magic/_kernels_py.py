@@ -8,7 +8,8 @@
 Element indices follow elements(l): rotations 0..l-1 by exponent,
 reflections l..2l-1.  Search status codes: 0 found (short-circuit),
 1 space exhausted, 2 node budget exceeded.  The compiled extension
-implements run_search with identical results and node accounting.
+walks the same plan with identical results and node accounting; the
+bulk count, the peek and the memo below only save Python calls.
 
 The pure search does O(1) work per node, and its cost per call does not
 grow with the shape.  D_l's product table and inverses are built once

@@ -47,6 +47,15 @@ def _block_rows(blocks: int, odd, reflect: bool):
     return cells[:width], cells[width:]
 
 
+def _plain_int(name: str, value) -> None:
+    """Refuse a value that is not a plain int: a bool or a float would
+    otherwise pass the range checks and build a set of the wrong shape or
+    with non-integer exponents."""
+    if type(value) is not int:
+        raise TypeError(f"{name} must be a plain int, got "
+                        f"{type(value).__name__}")
+
+
 def _lemma_rows(blocks: int):
     """Rows 1 and 2 of M^0, M^1, ..., M^(blocks-1) over D_(2*blocks)."""
     return _block_rows(blocks, range(1, 2 * blocks, 2), False)
@@ -55,9 +64,7 @@ def _lemma_rows(blocks: int):
 def lemma_block(p: int, l: int) -> Rectangle:
     """The 2x2 block M^p over D_2l (exponents reduced mod 2l); p must
     be a plain int (TypeError otherwise)."""
-    if type(p) is not int:
-        raise TypeError(f"block index must be a plain int, got "
-                        f"{type(p).__name__}")
+    _plain_int("block index", p)
     if not 0 <= p < l:
         raise ValueError(f"block index {p} out of range [0, {l})")
     modulus = dihedral.check_group_order(2 * l)
@@ -69,7 +76,9 @@ def lemma_block(p: int, l: int) -> Rectangle:
 
 def lmrs_2_2(l: int) -> RectangleSet:
     """Linearly magic set of l blocks M^0..M^(l-1) over D_2l: k = l arrays
-    of shape 2x2 with row product rs and column product s."""
+    of shape 2x2 with row product rs and column product s.  l must be a
+    plain int (TypeError otherwise)."""
+    _plain_int("l", l)
     if l <= 1:
         raise ValueError(f"the 2x2 block family needs l > 1, got {l}")
     return lmrs_even(2, 2, l)
@@ -81,8 +90,11 @@ def lmrs_even(m: int, n: int, k: int) -> RectangleSet:
 
     Each of the k arrays is an (m/2) x (n/2) grid of consecutive blocks
     M^p assigned row-major; rows multiply to (rs)^(n/2) and columns to
-    s^(m/2).
+    s^(m/2).  m, n and k must be plain ints (TypeError otherwise).
     """
+    _plain_int("m", m)
+    _plain_int("n", n)
+    _plain_int("k", k)
     if m < 2 or n < 2 or m % 2 or n % 2:
         raise ValueError(f"m and n must be even and >= 2, got {m}x{n}")
     if k < 1:
@@ -114,7 +126,10 @@ def diagonal_plan(k: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     2k-1 pairs sums to c, so sum(main) = c - k = -k (mod c).  (For k = 1,
     0+2+6+7 = 15 = -1 mod 8.)  back lies in [c, 2c), so it is disjoint
     from main, and sum(back) = -k (mod c) too.
+
+    k must be a plain int (TypeError otherwise).
     """
+    _plain_int("k", k)
     if k < 1:
         raise ValueError(f"k must be positive, got {k}")
     c = 8 * k * k
@@ -135,8 +150,10 @@ def lsms(n: int) -> RectangleSet:
     `diagonal_plan(k)` are parked on the two diagonals (main and back,
     each in list order) and the rest fill the remaining positions
     row-major in ascending index order; row and column products do not
-    depend on placement, and the diagonals telescope to r^0.
+    depend on placement, and the diagonals telescope to r^0.  n must be
+    a plain int (TypeError otherwise).
     """
+    _plain_int("n", n)
     if n < 4 or n % 4:
         raise ValueError(f"side must be >= 4 and divisible by 4, got {n}")
     if n % 8 == 4:
@@ -176,9 +193,7 @@ def ms_block(p: int, l: int) -> Rectangle:
     equal counts of each cancels the diagonals.  p must be a plain int
     (TypeError otherwise).
     """
-    if type(p) is not int:
-        raise TypeError(f"block index must be a plain int, got "
-                        f"{type(p).__name__}")
+    _plain_int("block index", p)
     if l % 4:
         raise ValueError(f"ambient modulus must be divisible by 4, got {l}")
     if not 0 <= p < l // 2:
@@ -198,8 +213,9 @@ def ms(n: int) -> RectangleSet:
     (indices 0..2k^2-1 row-major), the last k the high variant
     (2k^2..4k^2-1).  Rows and columns reach r^0 in the orderable sense;
     the fixed-order diagonals (main read bottom-up, backward top-down)
-    both equal r^0.
+    both equal r^0.  n must be a plain int (TypeError otherwise).
     """
+    _plain_int("n", n)
     if n < 4 or n % 4:
         raise ValueError(f"side must be >= 4 and divisible by 4, got {n}")
     k = n // 4

@@ -53,6 +53,40 @@ def test_block_index_must_be_plain_int(block, p):
         block(p, 8)
 
 
+def test_lmrs_2_2_needs_plain_int():
+    for l in (3.0, True):
+        with pytest.raises(TypeError, match="^l must be a plain int"):
+            lmrs_2_2(l)
+
+
+def test_lmrs_even_needs_plain_ints():
+    # lmrs_even(2, 4, True) built a set over D_4
+    for args, name in (((2, 4, True), "k"), ((2.0, 4, 1), "m"),
+                       ((2, 4.0, 1), "n")):
+        with pytest.raises(TypeError, match=f"^{name} must be a plain int"):
+            lmrs_even(*args)
+
+
+def test_diagonal_plan_needs_plain_int():
+    # diagonal_plan(1.0) returned float block indices, and True ran as k = 1
+    for k in (1.0, True):
+        with pytest.raises(TypeError, match="^k must be a plain int"):
+            diagonal_plan(k)
+
+
+def test_lsms_needs_plain_int():
+    # lsms(True) was refused with a ValueError about the side
+    for n in (8.0, True):
+        with pytest.raises(TypeError, match="^n must be a plain int"):
+            lsms(n)
+
+
+def test_ms_needs_plain_int():
+    for n in (4.0, True):
+        with pytest.raises(TypeError, match="^n must be a plain int"):
+            ms(n)
+
+
 class TestLmrs22:
     def test_l2_covers_d4(self):
         s = lmrs_2_2(2)

@@ -91,18 +91,20 @@ class TestSearchParity:
             args = (6, 2, 3, 2, False, True, False, budget)
             assert compiled.run_search(*args) == _kernels_py.run_search(*args)
 
-    def test_fuzzed_configs_identical(self):
-        rng = random.Random(424242)
+    def test_every_searchable_config_identical(self):
+        # every shape search serves (2l <= HARD_CAP), in both modes, with
+        # symmetry and count_all on and off
         shapes = [(l, m, n, (2 * l) // (m * n))
-                  for l in (1, 2, 3, 4)
+                  for l in range(1, HARD_CAP // 2 + 1)
                   for m in range(1, 2 * l + 1)
                   for n in range(1, 2 * l + 1)
                   if (2 * l) % (m * n) == 0]
-        for _ in range(40):
-            l, m, n, k = rng.choice(shapes)
-            args = (l, m, n, k, rng.random() < 0.5, rng.random() < 0.5,
-                    rng.random() < 0.5, rng.choice([3, 50, 10**9]))
-            assert compiled.run_search(*args) == _kernels_py.run_search(*args), args
+        for l, m, n, k in shapes:
+            for linear, symmetry, count_all in itertools.product(
+                    (True, False), repeat=3):
+                args = (l, m, n, k, linear, symmetry, count_all, 20000)
+                assert compiled.run_search(*args) == \
+                    _kernels_py.run_search(*args), args
 
     def test_long_lines_and_full_masks_identical(self):
         # lines longer than 20 cells, and l = 32 where the top mask bit is used
