@@ -92,27 +92,13 @@ def achievable_indices(cells, l: int) -> list[int]:
     return out
 
 
-def _product_table(l: int) -> list[list[int]]:
-    """mul[a][b] = index of the product a b, built row by row in closed
-    form.  r^a r^b = r^(a+b) and r^a r^b s = r^(a+b) s, so the row of r^a
-    is range(l) rotated by a, twice; r^a s r^b = r^(a-b) s and
-    r^a s r^b s = r^(a-b), so the row of r^a s counts down instead."""
-    rot = list(range(l))
-    ref = list(range(l, 2 * l))
-    table = [rot[a:] + rot[:a] + ref[a:] + ref[:a] for a in range(l)]
-    rot.reverse()
-    ref.reverse()
-    for a in range(l):
-        s = l - 1 - a  # where a (and l + a) sit in the reversed lists
-        table.append(ref[s:] + ref[:s] + rot[s:] + rot[:s])
-    return table
-
-
 @functools.cache
 def _tables(l: int) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
-    """D_l's product table (as _product_table) and inverse list, built
-    once per l and shared read-only by every search over D_l."""
-    mul = tuple(map(tuple, _product_table(l)))
+    """D_l's product table, mul[a][b] = _word_index((a, b), l), and its
+    inverse list, built once per l and shared read-only by every search
+    over D_l."""
+    g = range(2 * l)
+    mul = tuple(tuple(_word_index((a, b), l) for b in g) for a in g)
     inv = tuple([-a % l for a in range(l)] + list(range(l, 2 * l)))
     return mul, inv
 

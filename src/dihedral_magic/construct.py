@@ -22,7 +22,7 @@ from operator import itemgetter
 
 from . import dihedral
 from .designs import Rectangle, RectangleSet
-from .dihedral import DihedralElement
+from .dihedral import DihedralElement, _plain_int
 
 
 def _block_rows(blocks: int, odd, reflect: bool):
@@ -47,24 +47,16 @@ def _block_rows(blocks: int, odd, reflect: bool):
     return cells[:width], cells[width:]
 
 
-def _plain_int(name: str, value) -> None:
-    """Refuse a value that is not a plain int: a bool or a float would
-    otherwise pass the range checks and build a set of the wrong shape or
-    with non-integer exponents."""
-    if type(value) is not int:
-        raise TypeError(f"{name} must be a plain int, got "
-                        f"{type(value).__name__}")
-
-
 def _lemma_rows(blocks: int):
     """Rows 1 and 2 of M^0, M^1, ..., M^(blocks-1) over D_(2*blocks)."""
     return _block_rows(blocks, range(1, 2 * blocks, 2), False)
 
 
 def lemma_block(p: int, l: int) -> Rectangle:
-    """The 2x2 block M^p over D_2l (exponents reduced mod 2l); p must
-    be a plain int (TypeError otherwise)."""
+    """The 2x2 block M^p over D_2l (exponents reduced mod 2l); p and l
+    must be plain ints (TypeError otherwise)."""
     _plain_int("block index", p)
+    _plain_int("l", l)
     if not 0 <= p < l:
         raise ValueError(f"block index {p} out of range [0, {l})")
     modulus = dihedral.check_group_order(2 * l)
@@ -76,11 +68,12 @@ def lemma_block(p: int, l: int) -> Rectangle:
 
 def lmrs_2_2(l: int) -> RectangleSet:
     """Linearly magic set of l blocks M^0..M^(l-1) over D_2l: k = l arrays
-    of shape 2x2 with row product rs and column product s.  l must be a
-    plain int (TypeError otherwise)."""
+    of shape 2x2 with row product rs and column product s.  Any l >= 1;
+    l = 1 is the single block M^0 over D_2.  l must be a plain int
+    (TypeError otherwise)."""
     _plain_int("l", l)
-    if l <= 1:
-        raise ValueError(f"the 2x2 block family needs l > 1, got {l}")
+    if l < 1:
+        raise ValueError(f"the 2x2 block family needs l >= 1, got {l}")
     return lmrs_even(2, 2, l)
 
 
@@ -90,7 +83,9 @@ def lmrs_even(m: int, n: int, k: int) -> RectangleSet:
 
     Each of the k arrays is an (m/2) x (n/2) grid of consecutive blocks
     M^p assigned row-major; rows multiply to (rs)^(n/2) and columns to
-    s^(m/2).  m, n and k must be plain ints (TypeError otherwise).
+    s^(m/2).  Every even m, n and k >= 1 works, down to the single block
+    M^0 over D_2 for (2, 2; 1).  m, n and k must be plain ints
+    (TypeError otherwise).
     """
     _plain_int("m", m)
     _plain_int("n", n)
@@ -100,9 +95,6 @@ def lmrs_even(m: int, n: int, k: int) -> RectangleSet:
     if k < 1:
         raise ValueError(f"k must be positive, got {k}")
     blocks = m * n * k // 4
-    if blocks <= 1:
-        raise ValueError("m*n*k must exceed 4 (the block family needs at "
-                         "least two blocks)")
     modulus = dihedral.check_group_order(2 * blocks)
     top, bottom = _lemma_rows(blocks)
     rows = []

@@ -45,6 +45,15 @@ def check_group_order(l: int) -> int:
     return l
 
 
+def _plain_int(name: str, value) -> None:
+    """Refuse a value that is not a plain int: a bool or a float would
+    otherwise pass the range checks and give a non-integer exponent or a
+    structure of the wrong size."""
+    if type(value) is not int:
+        raise TypeError(f"{name} must be a plain int, got "
+                        f"{type(value).__name__}")
+
+
 class DihedralElement(NamedTuple):
     """One element of D_l: r^exponent, or r^exponent * s if is_reflection.
 
@@ -73,13 +82,15 @@ def identity(l: int) -> DihedralElement:
 
 
 def rotation(exponent: int, l: int) -> DihedralElement:
-    """r^exponent, reduced mod l."""
+    """r^exponent, reduced mod l; exponent must be a plain int."""
+    _plain_int("exponent", exponent)
     check_group_order(l)
     return DihedralElement(False, exponent % l)
 
 
 def reflection(exponent: int, l: int) -> DihedralElement:
-    """r^exponent * s, reduced mod l."""
+    """r^exponent * s, reduced mod l; exponent must be a plain int."""
+    _plain_int("exponent", exponent)
     check_group_order(l)
     return DihedralElement(True, exponent % l)
 
@@ -101,7 +112,9 @@ def inverse(a: DihedralElement, l: int) -> DihedralElement:
 
 
 def power(a: DihedralElement, t: int, l: int) -> DihedralElement:
-    """t-fold product of a, t >= 0; power(a, 0) is the identity."""
+    """t-fold product of a, for a plain int t >= 0; power(a, 0) is the
+    identity."""
+    _plain_int("exponent", t)
     if t < 0:
         raise ValueError(f"exponent must be non-negative, got {t}")
     if a.is_reflection:
@@ -129,7 +142,7 @@ def word_product(seq: Iterable[DihedralElement], l: int) -> DihedralElement:
     for x in seq:
         exp = exp - x.exponent if flip else exp + x.exponent
         flip = flip != x.is_reflection
-    return DihedralElement(flip, exp % l)
+    return _new_element((flip, exp % l))
 
 
 def parse_element(token: str, l: int) -> DihedralElement:
@@ -193,7 +206,8 @@ def element_index(a: DihedralElement, l: int) -> int:
 
 
 def element_from_index(i: int, l: int) -> DihedralElement:
-    """Inverse of element_index."""
+    """Inverse of element_index; i must be a plain int."""
+    _plain_int("element index", i)
     if not 0 <= i < 2 * l:
         raise ValueError(f"element index {i} out of range for order {2 * l}")
     return DihedralElement(i >= l, i % l)

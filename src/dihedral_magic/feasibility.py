@@ -7,13 +7,16 @@ The decision procedure applies, in order:
      number of reflections, so any ordering of all its elements
      multiplies to a reflection, while column orderings force the total
      sigma^(even) which is a rotation;
-  3. shape (2, odd; 2) (or its transpose): NotExists by the row/column
-     reflection-parity counting argument special to two rows and two
-     arrays;
-  4. a side of length 1: NotExists, since a line of one cell multiplies
+  3. a side of length 1: NotExists, since a line of one cell multiplies
      to that cell, the cells are distinct, and there are at least two
      such lines;
-  5. m and n both even (and m*n*k > 4): Exists, by the 2x2 block tiling;
+  4. shape (2, odd; even k) (or its transpose): NotExists, since
+     psi(r^a s^f) = (a mod 2, f) is a homomorphism onto Z2 x Z2 for even
+     l, which forces the 2-cell lines to multiply to r^c with c even,
+     and the rotations cannot pair off as {r^a, r^(c-a)} because each
+     solution of 2a = c (mod l) would pair with itself;
+  5. m and n both even: Exists, by the 2x2 block tiling (a single block
+     M^0 for (2, 2; 1));
   6. everything else: Unknown (no result either way is implemented).
 
 Verdicts only ever cite results this package can back with a
@@ -24,6 +27,8 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+
+from .dihedral import _plain_int
 
 
 class Status(enum.Enum):
@@ -70,9 +75,7 @@ def classify(m: int, n: int, k: int) -> FeasibilityVerdict:
     m, n and k must be plain ints (TypeError otherwise)."""
     if not (type(m) is type(n) is type(k) is int):
         for name, value in (("m", m), ("n", n), ("k", k)):
-            if type(value) is not int:
-                raise TypeError(f"{name} must be a plain int, got "
-                                f"{type(value).__name__}")
+            _plain_int(name, value)
     if m < 1 or n < 1 or k < 1:
         raise ValueError(f"dimensions must be positive, got ({m},{n},{k})")
     if (m * n * k) % 2:
@@ -92,14 +95,6 @@ def classify(m: int, n: int, k: int) -> FeasibilityVerdict:
         return FeasibilityVerdict(m, n, k, l, Status.NOT_EXISTS,
                                   Justification.OBS_ODD_L, detail)
 
-    if k == 2 and ((m == 2 and n % 2) or (n == 2 and m % 2)):
-        odd = n if m == 2 else m
-        return FeasibilityVerdict(
-            m, n, k, l, Status.NOT_EXISTS, Justification.OBS_TWO_BY_L_TWICE,
-            f"two 2x{odd} arrays over D_{l} with {odd} odd: equal row "
-            "parities per array force a reflection count of 0 mod 4, but "
-            f"the group holds 2*{odd} = 2 mod 4 entries")
-
     if m == 1 or n == 1:
         axis, lines = ("column", n * k) if m == 1 else ("row", m * k)
         return FeasibilityVerdict(
@@ -108,22 +103,32 @@ def classify(m: int, n: int, k: int) -> FeasibilityVerdict:
             f"that cell; the cells are distinct, so the {axis} products "
             "cannot all be equal")
 
-    if m % 2 == 0 and n % 2 == 0:
-        if m * n * k > 4:
-            if m == 2 and n == 2:
-                return FeasibilityVerdict(
-                    m, n, k, l, Status.EXISTS, Justification.LEMMA_BLOCK,
-                    f"the k = {k} blocks M^p cover D_{l} with row product "
-                    "rs and column product s")
-            return FeasibilityVerdict(
-                m, n, k, l, Status.EXISTS, Justification.THM_EVEN_TILING,
-                f"even-by-even tiling of 2x2 blocks: linearly magic with "
-                f"rho = (rs)^{n // 2}, sigma = s^{m // 2}")
+    if k % 2 == 0 and ((m == 2 and n % 2) or (n == 2 and m % 2)):
+        odd = n if m == 2 else m
+        long, short = ("row", "column") if m == 2 else ("column", "row")
         return FeasibilityVerdict(
-            m, n, k, l, Status.UNKNOWN, None,
-            "below the tiling construction's range (it needs at least two "
-            "blocks, i.e. m*n*k > 4); small-order search shows a 2x2 square "
-            "over D_2 does exist")
+            m, n, k, l, Status.NOT_EXISTS, Justification.OBS_TWO_BY_L_TWICE,
+            f"l = {l} is even, so psi(r^a s^f) = (a mod 2, f) is a "
+            f"homomorphism from D_{l} onto Z2 x Z2, and every ordering of a "
+            "line has the same image; summed over one array, psi gives 0 by "
+            f"its 2 {long}s and, as {odd} is odd, the image of the common "
+            f"product by its {odd} {short}s of 2 cells, so the {short}s "
+            "multiply to r^c with c even; a 2-cell line gives a rotation only "
+            "from two rotations or two reflections, and two rotations give "
+            "r^c only as r^a, r^(c-a), so the rotations pair off in the "
+            f"{short}s, but each solution of 2a = c (mod {l}) would have to "
+            "pair with itself")
+
+    if m % 2 == 0 and n % 2 == 0:
+        if m == 2 and n == 2:
+            return FeasibilityVerdict(
+                m, n, k, l, Status.EXISTS, Justification.LEMMA_BLOCK,
+                f"the k = {k} blocks M^p cover D_{l} with row product "
+                "rs and column product s")
+        return FeasibilityVerdict(
+            m, n, k, l, Status.EXISTS, Justification.THM_EVEN_TILING,
+            f"even-by-even tiling of 2x2 blocks: linearly magic with "
+            f"rho = (rs)^{n // 2}, sigma = s^{m // 2}")
 
     return FeasibilityVerdict(
         m, n, k, l, Status.UNKNOWN, None,

@@ -95,13 +95,6 @@ class VerificationReport:
         return out
 
 
-def _refuse_over_cap(cells: int, cap: int) -> None:
-    if cells > cap:
-        raise CapacityError(
-            f"achievable_products over {cells} cells exceeds cap {cap}; "
-            "use linear mode or raise the cap")
-
-
 def achievable_products(cells, l: int, cap: int = DEFAULT_CAP) -> frozenset[DihedralElement]:
     """Exact set of products reachable by some ordering of `cells`.
 
@@ -110,7 +103,10 @@ def achievable_products(cells, l: int, cap: int = DEFAULT_CAP) -> frozenset[Dihe
     |cells| above the cap is refused with CapacityError.
     """
     cells = list(cells)
-    _refuse_over_cap(len(cells), cap)
+    if len(cells) > cap:
+        raise CapacityError(
+            f"achievable_products over {len(cells)} cells exceeds cap {cap}; "
+            "use linear mode or raise the cap")
     idxs = [dihedral.element_index(c, l) for c in cells]
     return frozenset(dihedral.element_from_index(i, l)
                      for i in _backend.achievable_indices(idxs, l))
@@ -285,7 +281,10 @@ def verify_magic_square(s: RectangleSet, mode: str = "linear",
                                         "diagonal product is not a common "
                                         "row/column product"))
     else:
-        _refuse_over_cap(n, cap)
+        if n > cap:
+            raise CapacityError(
+                f"orderable diagonals of length {n} exceed cap {cap}; use "
+                "diagonal_mode='fixed' or raise the cap")
         if candidates:
             both = _line_mask(main, s.l) & _line_mask(back, s.l)
             if candidates & both:

@@ -13,7 +13,7 @@ from dihedral_magic.dihedral import (MAX_GROUP_ORDER, identity, multiply,
                                      parse_element, power, reflection,
                                      rotation, word_product)
 from dihedral_magic.verify import (verify_linear, verify_magic_square,
-                                   verify_semi_magic_square)
+                                   verify_orderable, verify_semi_magic_square)
 
 
 def tokens(rect):
@@ -51,6 +51,13 @@ def test_block_index_must_be_plain_int(block, p):
     # a float index printed exponents such as r^1.0, and True ran as p = 1
     with pytest.raises(TypeError, match="plain int"):
         block(p, 8)
+
+
+def test_lemma_block_group_must_be_plain_int():
+    # lemma_block(0, True) built a block over D_2
+    for l in (True, 4.0):
+        with pytest.raises(TypeError, match="^l must be a plain int"):
+            lemma_block(0, l)
 
 
 def test_lmrs_2_2_needs_plain_int():
@@ -110,9 +117,22 @@ class TestLmrs22:
                 assert rect.cells[0][0].exponent % 2 == 1
                 assert rect.cells[1][1].exponent % 2 == 0
 
-    def test_l1_rejected(self):
-        with pytest.raises(ValueError):
-            lmrs_2_2(1)
+    def test_l0_rejected(self):
+        with pytest.raises(ValueError, match="needs l >= 1, got 0"):
+            lmrs_2_2(0)
+
+    def test_l1_is_the_single_block(self):
+        # M^0 over D_2, with rho = r^1*s and sigma = r^0*s
+        s = lmrs_2_2(1)
+        assert s.k == 1 and s.l == 2
+        assert tokens(s.arrays[0]) == tokens(lemma_block(0, 1))
+        assert validate_cover(s).ok
+        report = verify_linear(s)
+        assert report.passed
+        assert report.witnessed.rho == reflection(1, 2)
+        assert report.witnessed.sigma == reflection(0, 2)
+        assert verify_orderable(s).passed
+        assert lmrs_even(2, 2, 1) == s
 
 
 class TestLmrsEven:
@@ -158,8 +178,6 @@ class TestLmrsEven:
             lmrs_even(3, 4, 1)
         with pytest.raises(ValueError):
             lmrs_even(2, 3, 2)
-        with pytest.raises(ValueError):
-            lmrs_even(2, 2, 1)  # single block
         with pytest.raises(ValueError):
             lmrs_even(2, 4, 0)
 

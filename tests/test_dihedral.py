@@ -63,6 +63,25 @@ class TestBasics:
         with pytest.raises(ValueError):
             power(rotation(1, 4), -1, 4)
 
+    def test_rotation_rejects_a_float_exponent(self):
+        # r^1.5 would print as a token that no parser reads back
+        with pytest.raises(TypeError, match="^exponent must be a plain int, "
+                           "got float"):
+            rotation(1.5, 4)
+
+    def test_reflection_rejects_a_float_exponent(self):
+        with pytest.raises(TypeError, match="^exponent must be a plain int"):
+            reflection(2.0, 4)
+
+    def test_power_rejects_a_float_exponent(self):
+        with pytest.raises(TypeError, match="^exponent must be a plain int"):
+            power(rotation(1, 4), 2.0, 4)
+
+    def test_element_from_index_rejects_a_float(self):
+        with pytest.raises(TypeError, match="^element index must be a plain "
+                           "int"):
+            element_from_index(1.0, 4)
+
     def test_enumerate_smallest(self):
         assert elements(1) == [identity(1), reflection(0, 1)]
 
@@ -196,6 +215,7 @@ class TestElementContract:
                     acc = multiply(acc, x, l)
                 got = word_product(word, l)
                 assert got == acc
+                assert type(got) is DihedralElement
                 assert type(got.is_reflection) is bool
 
     def test_word_product_matches_the_index_kernel(self):

@@ -1,9 +1,26 @@
-"""Classifier: worked verdicts, role symmetry, the parity witness."""
+"""Classifier: worked verdicts, role symmetry, the parity witness, and
+the constructions and counting facts behind the verdicts."""
+
+import itertools
 
 import pytest
 
+from dihedral_magic.construct import lmrs_even
+from dihedral_magic.designs import validate_cover
+from dihedral_magic.dihedral import (elements, multiply, parse_element,
+                                     power)
 from dihedral_magic.feasibility import (Justification, Status, classify,
                                         parity_witness)
+from dihedral_magic.verify import verify_linear, verify_orderable
+
+
+def shapes_up_to(order):
+    """Every (m, n, k) with m*n*k even and at most `order`."""
+    for total in range(2, order + 1, 2):
+        for m in range(1, total + 1):
+            for n in range(1, total // m + 1):
+                if total % (m * n) == 0:
+                    yield m, n, total // (m * n)
 
 
 class TestClassify:
@@ -32,10 +49,17 @@ class TestClassify:
         assert v.justification is Justification.LEMMA_BLOCK
 
     def test_other_even_odd_even_shapes_stay_unknown(self):
-        # the two-array argument is not claimed beyond width-2 shapes
+        # the parity argument is not claimed beyond width-2 shapes
         assert classify(4, 3, 2).status is Status.UNKNOWN
-        assert classify(2, 3, 4).status is Status.UNKNOWN
         assert classify(6, 5, 2).status is Status.UNKNOWN
+
+    def test_two_by_odd_any_even_k(self):
+        v = classify(2, 3, 4)
+        assert v.status is Status.NOT_EXISTS
+        assert v.justification is Justification.OBS_TWO_BY_L_TWICE
+        assert "2a = c (mod 12)" in v.detail
+        assert "3 columns of 2 cells" in v.detail
+        assert "5 rows of 2 cells" in classify(5, 2, 6).detail
 
     def test_even_tiling(self):
         v = classify(4, 6, 2)
@@ -56,15 +80,16 @@ class TestClassify:
         assert v.justification is Justification.OBS_SIDE_ONE
         assert "12 rows" in v.detail
 
-    def test_below_tiling_range(self):
+    def test_single_block_exists(self):
+        # M^0 over D_2 is the whole set
         v = classify(2, 2, 1)
-        assert v.status is Status.UNKNOWN
-        assert "search" in v.detail
+        assert v.status is Status.EXISTS
+        assert v.justification is Justification.LEMMA_BLOCK
 
     def test_smallest_groups(self):
         assert classify(1, 2, 1).status is Status.NOT_EXISTS
         assert classify(2, 1, 2).status is Status.NOT_EXISTS
-        assert classify(2, 1, 2).justification is Justification.OBS_TWO_BY_L_TWICE
+        assert classify(2, 1, 2).justification is Justification.OBS_SIDE_ONE
 
     def test_odd_total_rejected(self):
         with pytest.raises(ValueError):
@@ -129,3 +154,59 @@ class TestParityWitness:
             parity_witness(4, 6, 2)  # Exists
         with pytest.raises(ValueError):
             parity_witness(2, 3, 2)  # the two-array obstruction
+
+
+class TestVerdictsUpToOrder64:
+    def test_counts(self):
+        statuses = [classify(*shape).status for shape in shapes_up_to(64)]
+        assert [statuses.count(x) for x in Status] == [110, 445, 53]
+
+    def test_every_exists_is_built_by_lmrs_even(self):
+        built = 0
+        for m, n, k in shapes_up_to(64):
+            if classify(m, n, k).status is not Status.EXISTS:
+                continue
+            s = lmrs_even(m, n, k)
+            l = s.l
+            assert validate_cover(s).ok, (m, n, k)
+            report = verify_linear(s)
+            assert report.passed, (m, n, k)
+            assert report.witnessed.rho == power(parse_element("rs", l),
+                                                 n // 2, l)
+            assert report.witnessed.sigma == power(parse_element("s", l),
+                                                   m // 2, l)
+            if max(m, n) <= 8:
+                assert verify_orderable(s).passed, (m, n, k)
+            built += 1
+        assert built == 110
+
+    def test_every_two_by_odd_is_ruled_out(self):
+        seen = 0
+        for m, n, k in shapes_up_to(64):
+            if (m == 2 and n % 2) or (n == 2 and m % 2):
+                assert classify(m, n, k).status is Status.NOT_EXISTS, \
+                    (m, n, k)
+                seen += 1
+        assert seen > 0
+
+
+class TestTwoByOddFacts:
+    """The two facts the (2, odd; even k) rule rests on, by computation."""
+
+    def test_psi_is_a_homomorphism_onto_z2_squared(self):
+        def psi(x):
+            return x.exponent % 2, int(x.is_reflection)
+
+        for l in range(2, 33, 2):
+            g = elements(l)
+            assert {psi(x) for x in g} == set(itertools.product((0, 1),
+                                                                repeat=2))
+            for x, y in itertools.product(g, repeat=2):
+                px, py = psi(x), psi(y)
+                assert psi(multiply(x, y, l)) == ((px[0] + py[0]) % 2,
+                                                  (px[1] + py[1]) % 2)
+
+    def test_an_even_c_has_a_self_paired_rotation(self):
+        for l in range(2, 33, 2):
+            for c in range(0, l, 2):
+                assert any(2 * a % l == c for a in range(l))

@@ -28,12 +28,14 @@ class TestIndexMultiply:
                                                element_index(b, l)], l)
                 assert got == want
 
-    def test_product_table_matches_word_index(self):
-        for l in range(1, 33):
-            G = 2 * l
-            assert _kernels_py._product_table(l) == [
-                [_kernels_py._word_index((a, b), l) for b in range(G)]
-                for a in range(G)]
+    def test_tables_match_multiply(self):
+        for l in range(1, 17):
+            mul, inv = _kernels_py._tables(l)
+            g = elements(l)
+            for a, x in enumerate(g):
+                assert mul[a] == tuple(element_index(multiply(x, y, l), l)
+                                       for y in g)
+                assert mul[a][inv[a]] == 0
 
     def test_line_key_mask_matches_sorted_cells(self):
         rng = random.Random(11)

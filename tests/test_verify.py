@@ -70,7 +70,8 @@ class TestAchievableProducts:
 
     def test_cap_enforced(self):
         cells = elements(5)  # 10 cells
-        with pytest.raises(CapacityError):
+        with pytest.raises(CapacityError, match="^achievable_products over "
+                           "10 cells exceeds cap 8; use linear mode"):
             achievable_products(cells, 5)
         achievable_products(cells, 5, cap=10)  # raised cap works
 
@@ -133,8 +134,8 @@ class TestVerifyOrderable:
             verify_magic_square(lsms(16), mode="linear",
                                 diagonal_mode="orderable")
         assert str(info.value) == (
-            "achievable_products over 16 cells exceeds cap 8; "
-            "use linear mode or raise the cap")
+            "orderable diagonals of length 16 exceed cap 8; "
+            "use diagonal_mode='fixed' or raise the cap")
 
 
 class TestSquares:
@@ -371,6 +372,10 @@ def ref_verify_square(s, mode, diagonal_mode, cap):
                     "main and backward diagonal products differ" if d1 != d2
                     else "diagonal product is not a common row/column product"))
         else:
+            if s.n > cap:
+                raise CapacityError(
+                    f"orderable diagonals of length {s.n} exceed cap {cap}; "
+                    "use diagonal_mode='fixed' or raise the cap")
             both = (achievable_products(main, s.l, cap)
                     & achievable_products(back, s.l, cap))
             if candidates & both:
