@@ -9,20 +9,24 @@ Element indices follow elements(l): rotations 0..l-1 by exponent,
 reflections l..2l-1.  Search status codes: 0 found (short-circuit),
 1 space exhausted, 2 node budget exceeded.  The compiled extension
 walks the same plan with identical results and node accounting; the
-bulk count, the peek and the memo below only save Python calls.
+bulk count, the peek and the line-mask table below only save Python
+calls.
 
 The pure search does O(1) work per node, and its cost per call does not
 grow with the shape.  D_l's product table and inverses are built once
-per l, and the plan that gives each position its neighbours and the
-lines it ends once per shape and mode; both are shared read-only by
-every search.  Each position keeps its row's and column's state so far
-(a product in linear mode, a cell-set bitmask in orderable mode), and
-candidates are walked as a bitmask of free elements, lowest first.  In
-linear mode a line that ends with its product already fixed admits
-exactly one element; the others are counted as nodes without being
-placed, and when that one element is already used the position is
-counted by its parent, without a call.  In orderable mode a line of one
-cell reaches only that cell, so its key is its mask.
+per l, and the plan that gives each position its neighbours, the lines
+it ends and the next position's line ends once per shape and mode; both
+are shared read-only by every search.  D_l's line masks (a line's cell
+set -> its reachable products) are kept once per l too, filled on a miss
+by any orderable search over D_l.  Each position keeps its row's and
+column's state so far (a product in linear mode, a cell-set bitmask in
+orderable mode), and candidates are walked as a bitmask of free
+elements, lowest first.  In linear mode a line that ends with its
+product already fixed admits exactly one element; the others are
+counted as nodes without being placed, and when that one element is
+already used the position is counted by its parent, without a call.  In
+orderable mode a line of one cell reaches only that cell, so its key is
+its mask.
 """
 
 from __future__ import annotations
@@ -103,6 +107,17 @@ def _tables(l: int) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
     return mul, inv
 
 
+@functools.cache
+def _line_masks(l: int) -> dict[int, int]:
+    """D_l's line masks: a line's cell set (a bitmask) -> _key_mask of it.
+
+    Filled by the orderable search on a miss and shared by every search
+    over D_l; an entry depends only on (l, key), so it never changes.
+    Keys are cell sets of D_l, at most 2^(2l) of them.
+    """
+    return {}
+
+
 def _key_mask(key: int, l: int) -> int:
     """reachable_mask of the line whose cells are the set bits of key."""
     if not key & (key - 1):
@@ -124,7 +139,8 @@ def _plan(m: int, n: int, k: int, linear: bool, symmetry: bool):
     spare slot N = mnk, an empty line, where a line starts), the
     candidate cut (the identity only at t = 0 in orderable mode with
     symmetry) and the anchor whose cell this one must exceed (-1 for
-    none).
+    none); then, for the linear peek, t + 1's row end, column end and
+    upper neighbour when t + 1 has no anchor, else (False, False, N).
     """
     per = m * n
     N = per * k
@@ -136,7 +152,10 @@ def _plan(m: int, n: int, k: int, linear: bool, symmetry: bool):
                      1 if t == 0 and symmetry and not linear else -1,
                      t - per if symmetry and t >= per and t % per == 0
                      else -1))
-    return tuple(plan)
+    peeks = [(row_end, col_end, up) if anc < 0 else (False, False, N)
+             for row_end, col_end, _, up, _, anc in plan[1:]]
+    peeks.append((False, False, N))
+    return tuple(entry + peek for entry, peek in zip(plan, peeks))
 
 
 def run_search(l: int, m: int, n: int, k: int, linear: bool,
@@ -160,11 +179,13 @@ def run_search(l: int, m: int, n: int, k: int, linear: bool,
     (column) ending where rho (sigma) is already fixed admits only the
     element that completes that product, so the candidates that fail are
     counted in bulk.  When the next position is such a line end without
-    an anchor, its one admissible element is found before the call; if
-    it is already used, the next position's candidates are counted here
-    and nothing is called.  Orderable mode carries each line's cell set
-    as a bitmask (cells are distinct) and memoises reachable_mask per
-    set (a one-cell set's mask is its key).
+    an anchor (the plan records which lines it ends), its one admissible
+    element is found before the call; if it is already used, the next
+    position's candidates are counted here and nothing is called.
+    Orderable mode carries each line's cell set as a bitmask (cells are
+    distinct) and reads its reachable products from D_l's line-mask
+    table (_line_masks), shared by every search over D_l and filled on a
+    miss (a one-cell set's mask is its key).
     """
     N = m * n * k
     plan = _plan(m, n, k, linear, symmetry)
@@ -197,7 +218,8 @@ def run_search(l: int, m: int, n: int, k: int, linear: bool,
         nonlocal nodes, status
         if t == N:
             return leaf()
-        row_end, col_end, _, up, _, anc = plan[t]
+        (row_end, col_end, _, up, _, anc,
+         next_row_end, next_col_end, next_up) = plan[t]
         cand = free
         if anc >= 0:
             cand &= -(2 << grid[anc])  # elements above the anchor's
@@ -209,12 +231,8 @@ def run_search(l: int, m: int, n: int, k: int, linear: bool,
             live &= 1 << mul[sigma][inv[q]]  # the x with x q = sigma
         # peek: t + 1 ends a line whose product is fixed by then, and has
         # no anchor, so its candidates are free ^ b and it admits one
-        peek_row = peek_col = False
-        if t + 1 < N:
-            next_row_end, next_col_end, _, next_up, _, next_anc = plan[t + 1]
-            if next_anc < 0:
-                peek_row = next_row_end and (row_end or rho >= 0)
-                peek_col = next_col_end and (col_end or sigma >= 0)
+        peek_row = next_row_end and (row_end or rho >= 0)
+        peek_col = next_col_end and (col_end or sigma >= 0)
         peek = peek_row or peek_col
         row = mul[p]
         while live:
@@ -258,7 +276,7 @@ def run_search(l: int, m: int, n: int, k: int, linear: bool,
             return True
         return False
 
-    memo: dict[int, int] = {}
+    masks = _line_masks(l)
     rowv = [0] * (N + 1)  # the row up to t, as a cell set
 
     def orderable_dfs(t: int, rho: int, sigma: int, free: int) -> bool:
@@ -267,7 +285,7 @@ def run_search(l: int, m: int, n: int, k: int, linear: bool,
         nonlocal nodes, status
         if t == N:
             return leaf()
-        row_end, col_end, left, up, cand, anc = plan[t]
+        row_end, col_end, left, up, cand, anc, _, _, _ = plan[t]
         cand &= free
         if anc >= 0:
             cand &= -(2 << grid[anc])  # elements above the anchor's
@@ -285,16 +303,16 @@ def run_search(l: int, m: int, n: int, k: int, linear: bool,
             nrho = rho
             nsigma = sigma
             if row_end:
-                mask = memo.get(r)
+                mask = masks.get(r)
                 if mask is None:
-                    mask = memo[r] = _key_mask(r, l)
+                    mask = masks[r] = _key_mask(r, l)
                 nrho = rho & mask if rho else mask
                 if not nrho:
                     continue
             if col_end:
-                mask = memo.get(c)
+                mask = masks.get(c)
                 if mask is None:
-                    mask = memo[c] = _key_mask(c, l)
+                    mask = masks[c] = _key_mask(c, l)
                 nsigma = sigma & mask if sigma else mask
                 if not nsigma:
                     continue

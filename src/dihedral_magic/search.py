@@ -16,6 +16,9 @@ from .errors import BudgetExceededError, CapacityError
 
 HARD_CAP = 16  # largest group order 2l searched; <= 64 (compiled masks)
 DEFAULT_BUDGET = 10**9
+# the compiled kernel counts nodes in a signed 64-bit integer; no search
+# within HARD_CAP visits this many, so a larger budget is the same budget
+_KERNEL_BUDGET = 2**63 - 1
 
 
 # the fields whose value must have exactly this type: a bool is not a
@@ -112,7 +115,8 @@ def exhaustive_search(cfg: SearchConfig) -> SearchOutcome:
             f"group order {2 * cfg.l} exceeds the search cap {HARD_CAP}")
     status, nodes, count, flat = _backend.run_search(
         cfg.l, cfg.m, cfg.n, cfg.k, cfg.mode == "linear",
-        cfg.symmetry_reduction, cfg.count_all, cfg.node_budget)
+        cfg.symmetry_reduction, cfg.count_all,
+        min(cfg.node_budget, _KERNEL_BUDGET))
     if status == 2:
         return SearchOutcome("budget_exceeded", nodes)
     found = _grid_to_set(flat, cfg) if flat is not None else None

@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from dihedral_magic import cli, designs, verify
+from dihedral_magic import _backend, _kernels_py, cli, designs, verify
 from dihedral_magic.construct import lmrs_2_2
 
 
@@ -275,6 +275,15 @@ class TestSearch:
                              "solutions_count: 240"]
         assert lines[3:] == ["r^0 r^1", "r^3 r^2", "",
                              "r^0*s r^1*s", "r^3*s r^2*s"]
+
+    def test_budget_past_64_bits_exits_0(self, capsys, monkeypatch):
+        for run_search in {_kernels_py.run_search, _backend.run_search}:
+            monkeypatch.setattr(_backend, "run_search", run_search)
+            code, out, err = run_cli(capsys, "search", "--l", "2", "--m",
+                                     "2", "--n", "2", "--k", "1", "--budget",
+                                     str(10**20))
+            assert (code, err) == (0, "")
+            assert out.startswith("result: found\n")
 
     def test_cap_exits_3(self, capsys):
         code, _, err = run_cli(capsys, "search", "--l", "9", "--m", "2",

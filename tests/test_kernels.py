@@ -5,17 +5,29 @@ on whichever backends are present."""
 
 import hashlib
 import itertools
+import math
 import random
 
 import pytest
 
-from dihedral_magic import _backend, _kernels_py
+from dihedral_magic import _backend, _kernels_py, search
 from dihedral_magic.dihedral import element_index, elements, multiply, word_product
 from dihedral_magic.search import HARD_CAP
 
 compiled = _backend.compiled
 needs_ext = pytest.mark.skipif(compiled is None,
                                reason="compiled extension not built")
+
+# every shape search serves (2l <= HARD_CAP), in both modes, with
+# symmetry and count_all on and off
+SEARCHABLE_RUNS = [(l, m, n, (2 * l) // (m * n), linear, symmetry, count_all,
+                    20000)
+                   for l in range(1, HARD_CAP // 2 + 1)
+                   for m in range(1, 2 * l + 1)
+                   for n in range(1, 2 * l + 1)
+                   if (2 * l) % (m * n) == 0
+                   for linear, symmetry, count_all in itertools.product(
+                       (True, False), repeat=3)]
 
 
 class TestIndexMultiply:
@@ -94,19 +106,9 @@ class TestSearchParity:
             assert compiled.run_search(*args) == _kernels_py.run_search(*args)
 
     def test_every_searchable_config_identical(self):
-        # every shape search serves (2l <= HARD_CAP), in both modes, with
-        # symmetry and count_all on and off
-        shapes = [(l, m, n, (2 * l) // (m * n))
-                  for l in range(1, HARD_CAP // 2 + 1)
-                  for m in range(1, 2 * l + 1)
-                  for n in range(1, 2 * l + 1)
-                  if (2 * l) % (m * n) == 0]
-        for l, m, n, k in shapes:
-            for linear, symmetry, count_all in itertools.product(
-                    (True, False), repeat=3):
-                args = (l, m, n, k, linear, symmetry, count_all, 20000)
-                assert compiled.run_search(*args) == \
-                    _kernels_py.run_search(*args), args
+        for args in SEARCHABLE_RUNS:
+            assert compiled.run_search(*args) == \
+                _kernels_py.run_search(*args), args
 
     def test_long_lines_and_full_masks_identical(self):
         # lines longer than 20 cells, and l = 32 where the top mask bit is used
@@ -170,9 +172,33 @@ def test_interleaved_group_orders_repeat_exactly():
                                (4, 2, 4, 1), (8, 8, 1, 2))
             for linear in (True, False) for count_all in (True, False)]
     _kernels_py._tables.cache_clear()
+    _kernels_py._line_masks.cache_clear()
     first = [_kernels_py.run_search(*args) for args in runs]
     again = [_kernels_py.run_search(*args) for args in reversed(runs)]
     assert again[::-1] == first
+
+
+def test_line_mask_tables_hold_reachable_masks():
+    # the per-l tables the orderable searches fill: every entry is the
+    # reachable mask of its key's cells
+    _kernels_py._line_masks.cache_clear()
+    for args in SEARCHABLE_RUNS:
+        _kernels_py.run_search(*args)
+    for l in range(1, HARD_CAP // 2 + 1):
+        table = _kernels_py._line_masks(l)
+        assert table, l
+        for key, mask in table.items():
+            assert 0 < key < 1 << 2 * l, (l, key)  # a cell set of D_l
+            cells = [x for x in range(2 * l) if key >> x & 1]
+            assert mask == _kernels_py.reachable_mask(cells, l), (l, key)
+
+
+def test_cold_and_warm_line_mask_tables_search_alike():
+    _kernels_py._line_masks.cache_clear()
+    cold = [_kernels_py.run_search(*args) for args in SEARCHABLE_RUNS]
+    warm = [_kernels_py.run_search(*args)
+            for args in reversed(SEARCHABLE_RUNS)]
+    assert warm[::-1] == cold
 
 
 # every budget from 1 to 300, then a stride up to the total, in linear mode
@@ -180,22 +206,36 @@ def test_interleaved_group_orders_repeat_exactly():
 # the call); digest recorded from the kernel that built its plan per call
 BUDGET_SWEEP_DIGEST = (
     3705, "d8408bdbc80bb070032c3d247695b2d4005b74d2013c3447cb01575d15e21833")
+# the same sweep in orderable mode, recorded from the kernel that built its
+# line-mask memo per call
+ORDERABLE_BUDGET_SWEEP_DIGEST = (
+    3700, "85469f73449f05de41d9cb67f2568211225acaaceae867077c3e2f0c1b5753fa")
+
+
+def budget_sweep(run_search, linear):
+    """(number of runs, sha256 of their results) over the budget sweep."""
+    results = []
+    for (l, m, n, k), symmetry, count_all in itertools.product(
+            ((4, 2, 2, 2), (6, 2, 3, 2), (6, 1, 6, 2)), (True, False),
+            (True, False)):
+        total = run_search(l, m, n, k, linear, symmetry, count_all, 10**9)[1]
+        for budget in sorted({*range(1, 301), total, total + 1,
+                              *range(1, total, total // 16 + 1)}):
+            results.append(run_search(l, m, n, k, linear, symmetry,
+                                      count_all, budget))
+    return len(results), hashlib.sha256(repr(results).encode()).hexdigest()
 
 
 def test_budget_sweep_pinned_on_every_backend():
     for run_search in {_kernels_py.run_search, _backend.run_search}:
-        results = []
-        for (l, m, n, k), symmetry, count_all in itertools.product(
-                ((4, 2, 2, 2), (6, 2, 3, 2), (6, 1, 6, 2)), (True, False),
-                (True, False)):
-            total = run_search(l, m, n, k, True, symmetry, count_all,
-                               10**9)[1]
-            for budget in sorted({*range(1, 301), total, total + 1,
-                                  *range(1, total, total // 16 + 1)}):
-                results.append(run_search(l, m, n, k, True, symmetry,
-                                          count_all, budget))
-        digest = hashlib.sha256(repr(results).encode()).hexdigest()
-        assert (len(results), digest) == BUDGET_SWEEP_DIGEST, run_search
+        assert budget_sweep(run_search, True) == BUDGET_SWEEP_DIGEST, \
+            run_search
+
+
+def test_orderable_budget_sweep_pinned_on_every_backend():
+    for run_search in {_kernels_py.run_search, _backend.run_search}:
+        assert budget_sweep(run_search, False) == \
+            ORDERABLE_BUDGET_SWEEP_DIGEST, run_search
 
 
 def test_interleaved_plans_repeat_exactly():
@@ -219,3 +259,12 @@ def test_interleaved_plans_repeat_exactly():
 
 def test_search_cap_fits_the_compiled_masks():
     assert 2 * HARD_CAP <= 64
+
+
+def test_search_cap_fits_the_compiled_node_count():
+    # a node places a distinct element at each position of a prefix, so a
+    # search over HARD_CAP elements visits at most sum_j P(HARD_CAP, j)
+    # < e * HARD_CAP! nodes, so exhaustive_search may cut any larger
+    # budget to the compiled kernel's largest, 2^63 - 1, without effect
+    most = sum(math.perm(HARD_CAP, j) for j in range(1, HARD_CAP + 1))
+    assert most < math.e * math.factorial(HARD_CAP) < search._KERNEL_BUDGET

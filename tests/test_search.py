@@ -5,6 +5,7 @@ import itertools
 
 import pytest
 
+from dihedral_magic import _backend, _kernels_py
 from dihedral_magic.designs import Rectangle, RectangleSet
 from dihedral_magic.dihedral import element_from_index
 from dihedral_magic.errors import BudgetExceededError, CapacityError
@@ -116,6 +117,20 @@ class TestOutcomes:
         assert out.solutions_count is None
         with pytest.raises(BudgetExceededError):
             count_solutions(cfg)
+
+    def test_budgets_past_64_bits_change_nothing(self, monkeypatch):
+        # the compiled kernel takes a signed 64-bit budget; no search
+        # within HARD_CAP comes near it, so a larger one is the same
+        for run_search in {_kernels_py.run_search, _backend.run_search}:
+            monkeypatch.setattr(_backend, "run_search", run_search)
+            for l, m, n, k in ((2, 2, 2, 1), (3, 2, 3, 1)):
+                for mode in ("linear", "orderable"):
+                    for count_all in (True, False):
+                        first, *rest = [exhaustive_search(SearchConfig(
+                            l=l, m=m, n=n, k=k, mode=mode,
+                            node_budget=budget, count_all=count_all))
+                            for budget in (10**9, 2**63, 10**30)]
+                        assert rest == [first, first], (l, m, n, k, mode)
 
     def test_determinism(self):
         cfg = SearchConfig(l=4, m=2, n=2, k=2)
